@@ -39,9 +39,13 @@ WorkerPool::WorkerPool(unsigned threads)
         threads = hw ? hw : 1;
     }
     n_threads_ = threads;
+    // The starting epoch is read here, not inside the new threads: a
+    // batch published before a worker is first scheduled must still
+    // look new to it, or that worker sleeps through the batch.
+    const std::uint64_t seen = epoch_.load(std::memory_order_acquire);
     workers_.reserve(threads - 1);
     for (unsigned w = 1; w < threads; ++w)
-        workers_.emplace_back([this] { workerLoop(); });
+        workers_.emplace_back([this, seen] { workerLoop(seen); });
 }
 
 WorkerPool::~WorkerPool()
@@ -82,9 +86,8 @@ WorkerPool::runTasks()
 }
 
 void
-WorkerPool::workerLoop()
+WorkerPool::workerLoop(std::uint64_t seen)
 {
-    std::uint64_t seen = epoch_.load(std::memory_order_acquire);
     for (;;) {
         unsigned spins = 0;
         while (epoch_.load(std::memory_order_acquire) == seen) {

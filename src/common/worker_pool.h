@@ -66,7 +66,9 @@ class WorkerPool
                      const std::function<void(std::size_t)> &fn);
 
   private:
-    void workerLoop();
+    /** @param seen the epoch at pool construction; any later epoch
+     *  is a batch this worker has not run yet. */
+    void workerLoop(std::uint64_t seen);
     void runTasks();
 
     unsigned n_threads_;

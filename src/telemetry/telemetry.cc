@@ -85,8 +85,15 @@ std::string
 PointTelemetry::pointLabel(std::size_t index, const std::string &benchmark,
                            const std::string &scheme)
 {
-    return "p" + std::to_string(index) + "_" + sanitize_component(benchmark) +
-           "_" + sanitize_component(scheme);
+    // Built by append: GCC 12 reports a false -Wrestrict on the
+    // equivalent chain of operator+ temporaries at -O3.
+    std::string label = "p";
+    label.append(std::to_string(index))
+        .append("_")
+        .append(sanitize_component(benchmark))
+        .append("_")
+        .append(sanitize_component(scheme));
+    return label;
 }
 
 bool
