@@ -13,6 +13,68 @@ namespace approxnoc {
 namespace {
 /** Cycles without any flit movement (while loaded) before we panic. */
 constexpr Cycle kDeadlockWindow = 50000;
+
+/**
+ * Output-port candidates at router @p at toward router @p dest
+ * (!= at), in preference order, for the configured routing algorithm.
+ */
+Router::Route
+route_to(const NocConfig &cfg, RouterId at, RouterId dest)
+{
+    unsigned ac = cfg.colOf(at), dc = cfg.colOf(dest);
+    unsigned ar = cfg.rowOf(at), dr = cfg.rowOf(dest);
+
+    // Per-dimension direction choice: on the torus the shorter way
+    // around the ring, on the mesh the only way.
+    auto col_dir = [&]() -> unsigned {
+        if (cfg.topology == Topology::Torus) {
+            unsigned fwd = (dc + cfg.cols - ac) % cfg.cols;
+            return fwd <= cfg.cols - fwd ? kEast : kWest;
+        }
+        return dc > ac ? kEast : kWest;
+    };
+    auto row_dir = [&]() -> unsigned {
+        if (cfg.topology == Topology::Torus) {
+            unsigned fwd = (dr + cfg.rows - ar) % cfg.rows;
+            return fwd <= cfg.rows - fwd ? kSouth : kNorth;
+        }
+        return dr > ar ? kSouth : kNorth;
+    };
+    auto one = [](unsigned port) {
+        Router::Route r;
+        r.n = 1;
+        r.port[0] = static_cast<std::uint8_t>(port);
+        return r;
+    };
+
+    switch (cfg.routing) {
+      case RoutingAlgo::YX:
+        if (dr != ar)
+            return one(row_dir());
+        return one(col_dir());
+      case RoutingAlgo::WestFirst:
+        // Turn model: any westward component is resolved first and
+        // exclusively; afterwards east/north/south combine adaptively.
+        if (dc < ac)
+            return one(kWest);
+        if (dc > ac && dr != ar) {
+            Router::Route r = one(kEast);
+            r.n = 2;
+            r.port[1] = static_cast<std::uint8_t>(dr > ar ? kSouth : kNorth);
+            return r;
+        }
+        if (dc > ac)
+            return one(kEast);
+        return one(row_dir());
+      case RoutingAlgo::XY:
+        break;
+    }
+    // XY (Table 1 default): resolve the column first.
+    if (dc != ac)
+        return one(col_dir());
+    return one(row_dir());
+}
+
 } // namespace
 
 void
@@ -41,13 +103,16 @@ Network::Network(const NocConfig &cfg, CodecSystem *codec,
                     cfg_.topology == Topology::Mesh,
                 "west-first turn-model routing is only valid on a mesh");
 
-    auto route = [this](RouterId at, const Packet &p) {
-        return routeFor(at, p);
-    };
-
+    // Route tables, built once: router r's row holds the output-port
+    // candidates toward every other router.
     routers_.reserve(cfg_.routers());
-    for (RouterId r = 0; r < cfg_.routers(); ++r)
-        routers_.push_back(std::make_unique<Router>(r, cfg_, route));
+    for (RouterId r = 0; r < cfg_.routers(); ++r) {
+        std::vector<Router::Route> routes(cfg_.routers());
+        for (RouterId d = 0; d < cfg_.routers(); ++d)
+            if (d != r)
+                routes[d] = route_to(cfg_, r, d);
+        routers_.push_back(std::make_unique<Router>(r, cfg_, std::move(routes)));
+    }
 
     // Mesh links: both directions of every edge.
     for (RouterId r = 0; r < cfg_.routers(); ++r) {
@@ -181,56 +246,6 @@ Network::enableRegionParallel(Simulator &sim, unsigned sim_jobs)
 
     sim.setRegionPlan(std::move(plan), sim_jobs);
     return regions;
-}
-
-std::vector<unsigned>
-Network::routeFor(RouterId at, const Packet &pkt) const
-{
-    RouterId dest = cfg_.routerOf(pkt.dst);
-    if (at == dest)
-        return {kLocalBase + cfg_.localPortOf(pkt.dst)};
-    unsigned ac = cfg_.colOf(at), dc = cfg_.colOf(dest);
-    unsigned ar = cfg_.rowOf(at), dr = cfg_.rowOf(dest);
-
-    // Per-dimension direction choice: on the torus the shorter way
-    // around the ring, on the mesh the only way.
-    auto col_dir = [&]() -> unsigned {
-        if (cfg_.topology == Topology::Torus) {
-            unsigned fwd = (dc + cfg_.cols - ac) % cfg_.cols;
-            return fwd <= cfg_.cols - fwd ? kEast : kWest;
-        }
-        return dc > ac ? kEast : kWest;
-    };
-    auto row_dir = [&]() -> unsigned {
-        if (cfg_.topology == Topology::Torus) {
-            unsigned fwd = (dr + cfg_.rows - ar) % cfg_.rows;
-            return fwd <= cfg_.rows - fwd ? kSouth : kNorth;
-        }
-        return dr > ar ? kSouth : kNorth;
-    };
-
-    switch (cfg_.routing) {
-      case RoutingAlgo::YX:
-        if (dr != ar)
-            return {row_dir()};
-        return {col_dir()};
-      case RoutingAlgo::WestFirst:
-        // Turn model: any westward component is resolved first and
-        // exclusively; afterwards east/north/south combine adaptively.
-        if (dc < ac)
-            return {kWest};
-        if (dc > ac && dr != ar)
-            return {kEast, dr > ar ? kSouth : kNorth};
-        if (dc > ac)
-            return {kEast};
-        return {row_dir()};
-      case RoutingAlgo::XY:
-        break;
-    }
-    // XY (Table 1 default): resolve the column first.
-    if (dc != ac)
-        return {col_dir()};
-    return {row_dir()};
 }
 
 PacketPtr

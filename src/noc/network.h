@@ -182,7 +182,6 @@ class Network : public Clocked
     void collectTelemetry(telemetry::MetricRegistry &reg) const;
 
   private:
-    std::vector<unsigned> routeFor(RouterId at, const Packet &pkt) const;
     void onDelivery(const PacketPtr &pkt, Cycle now);
 
     NocConfig cfg_;

@@ -74,8 +74,10 @@ void
 NetworkInterface::evaluate(Cycle now)
 {
     send_this_cycle_ = false;
+    if (idle())
+        return;
     if (!current_) {
-        if (inj_q_.empty() || inj_q_.front().ready > now)
+        if (inj_q_.front().ready > now)
             return;
         current_ = inj_q_.front().pkt;
         inj_q_.pop_front();
@@ -103,14 +105,15 @@ NetworkInterface::advance(Cycle now)
     ANOC_ASSERT(current_ && router_, "NI advance without packet or router");
     unsigned vc = static_cast<unsigned>(alloc_vc_);
 
+    const bool tail = next_seq_ + 1 == current_->n_flits;
     Flit f;
     f.pkt = current_;
     f.seq = next_seq_;
-    f.is_tail = next_seq_ + 1 == current_->n_flits;
+    f.is_tail = tail;
     f.arrival = now + 1;
 
     --credits_[vc];
-    router_->acceptFlit(router_port_, vc, f);
+    router_->acceptFlit(router_port_, vc, std::move(f));
     ++flits_injected_;
     if (current_->cls == PacketClass::Data)
         ++data_flits_injected_;
@@ -126,7 +129,7 @@ NetworkInterface::advance(Cycle now)
                                  std::to_string(current_->dst) + "}");
     }
     ++next_seq_;
-    if (f.is_tail) {
+    if (tail) {
         vc_busy_[vc] = false;
         current_.reset();
         next_seq_ = 0;
@@ -142,7 +145,7 @@ NetworkInterface::acceptEjectedFlit(const Flit &f, Cycle now)
                     sim_current_region() == regionTag(),
                 "cross-region ejection at NI ", id_);
 #endif
-    PacketPtr pkt = f.pkt;
+    const PacketPtr &pkt = f.pkt;
     ++pkt->ejected_flits;
     if (pkt->ejected_flits < pkt->n_flits)
         return;

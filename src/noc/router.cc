@@ -6,21 +6,35 @@
 
 namespace approxnoc {
 
-Router::Router(RouterId id, const NocConfig &cfg, RouteFn route)
+namespace {
+
+/** i + 1 wrapped to [0, n): the round-robin step, without a division. */
+inline unsigned
+next_wrapped(unsigned i, unsigned n)
+{
+    return i + 1 == n ? 0 : i + 1;
+}
+
+} // namespace
+
+Router::Router(RouterId id, const NocConfig &cfg, std::vector<Route> routes)
     : Clocked("router" + std::to_string(id)), id_(id), cfg_(cfg),
-      route_(std::move(route)),
+      routes_(std::move(routes)),
       n_ports_(kLocalBase + cfg.concentration)
 {
+    ANOC_ASSERT(routes_.size() == cfg_.routers(),
+                "route table of router ", id_, " has ", routes_.size(),
+                " entries for ", cfg_.routers(), " routers");
     in_.resize(n_ports_);
     out_.resize(n_ports_);
     grants_.resize(n_ports_);
     rr_vc_.resize(n_ports_, 0);
-    for (auto &ip : in_)
-        ip.vcs.resize(cfg_.vcs);
-    for (auto &op : out_) {
-        op.vc_busy.assign(cfg_.vcs, false);
-        op.credits.assign(cfg_.vcs, cfg_.vc_depth);
-    }
+    vcs_.resize(std::size_t{n_ports_} * cfg_.vcs);
+    slots_.resize(vcs_.size() * cfg_.vc_depth);
+    for (std::size_t i = 0; i < vcs_.size(); ++i)
+        vcs_[i].base = static_cast<unsigned>(i * cfg_.vc_depth);
+    credits_.assign(std::size_t{n_ports_} * cfg_.vcs, cfg_.vc_depth);
+    vc_busy_.assign(std::size_t{n_ports_} * cfg_.vcs, 0);
 }
 
 void
@@ -79,27 +93,35 @@ Router::allowedVcClass(const InPort &in, unsigned in_vc,
 }
 
 unsigned
+Router::portCredits(unsigned out_port) const
+{
+    const unsigned *c = &credits_[std::size_t{out_port} * cfg_.vcs];
+    unsigned sum = 0;
+    for (unsigned v = 0; v < cfg_.vcs; ++v)
+        sum += c[v];
+    return sum;
+}
+
+unsigned
 Router::selectRoute(const Packet &pkt) const
 {
-    std::vector<unsigned> cands = route_(id_, pkt);
-    ANOC_ASSERT(!cands.empty(), "router ", id_, " has no route for packet");
-    if (cands.size() == 1)
-        return cands[0];
+    const RouterId dest = cfg_.routerOf(pkt.dst);
+    if (dest == id_)
+        return kLocalBase + cfg_.localPortOf(pkt.dst);
+    const Route &r = routes_[dest];
+    ANOC_ASSERT(r.n > 0, "router ", id_, " has no route for packet");
+    if (r.n == 1)
+        return r.port[0];
     // Congestion-aware selection: the candidate whose downstream
     // buffers have the most free credits wins; ties keep preference
     // order.
-    unsigned best = cands[0];
-    unsigned best_credits = 0;
-    bool first = true;
-    for (unsigned c : cands) {
-        const OutPort &op = out_[c];
-        unsigned credits = 0;
-        for (unsigned v : op.credits)
-            credits += v;
-        if (first || credits > best_credits) {
-            best = c;
+    unsigned best = r.port[0];
+    unsigned best_credits = portCredits(best);
+    for (unsigned k = 1; k < r.n; ++k) {
+        unsigned credits = portCredits(r.port[k]);
+        if (credits > best_credits) {
+            best = r.port[k];
             best_credits = credits;
-            first = false;
         }
     }
     return best;
@@ -119,11 +141,18 @@ Router::acceptFlit(unsigned in_port, unsigned vc, Flit f)
                 "cross-region acceptFlit at router ", id_,
                 " from region ", sim_current_region());
 #endif
-    auto &q = in_[in_port].vcs[vc].q;
-    ANOC_ASSERT(q.size() < cfg_.vc_depth,
+    InPort &port = in_[in_port];
+    VcBuf &buf = vcs_[std::size_t{in_port} * cfg_.vcs + vc];
+    ANOC_ASSERT(buf.count < cfg_.vc_depth,
                 "buffer overflow at router ", id_, " port ", in_port,
                 " vc ", vc, " — credit protocol violated");
-    q.push_back(std::move(f));
+    unsigned tail = buf.head + buf.count;
+    if (tail >= cfg_.vc_depth)
+        tail -= cfg_.vc_depth;
+    slots_[buf.base + tail] = std::move(f);
+    ++buf.count;
+    ++port.count;
+    ++buffered_;
     ++buffer_writes_;
 }
 
@@ -138,7 +167,7 @@ Router::creditReturn(unsigned out_port, unsigned vc)
                 "cross-region creditReturn at router ", id_,
                 " from region ", sim_current_region());
 #endif
-    auto &c = out_[out_port].credits[vc];
+    unsigned &c = credits_[std::size_t{out_port} * cfg_.vcs + vc];
     ANOC_ASSERT(c < cfg_.vc_depth, "credit overflow at router ", id_,
                 " port ", out_port, " vc ", vc);
     ++c;
@@ -147,20 +176,29 @@ Router::creditReturn(unsigned out_port, unsigned vc)
 void
 Router::evaluate(Cycle now)
 {
-    for (auto &g : grants_)
-        g = Grant{};
+    // Wakeup rule: an empty router has nothing to arbitrate (advance()
+    // left every grant clear), and empty input ports are skipped.
+    if (buffered_ == 0)
+        return;
 
     const Cycle pipe = cfg_.router_stages - 1;
+    std::size_t unseen = buffered_; // flits in ports not yet visited
 
-    for (unsigned ii = 0; ii < n_ports_; ++ii) {
-        unsigned ip = (rr_in_ + ii) % n_ports_;
+    unsigned ip = rr_in_;
+    for (unsigned ii = 0; ii < n_ports_ && unseen > 0;
+         ++ii, ip = next_wrapped(ip, n_ports_)) {
         InPort &port = in_[ip];
-        for (unsigned vv = 0; vv < cfg_.vcs; ++vv) {
-            unsigned vc = (rr_vc_[ip] + vv) % cfg_.vcs;
-            VcBuf &buf = port.vcs[vc];
-            if (buf.q.empty())
+        if (port.count == 0)
+            continue;
+        unseen -= port.count;
+        VcBuf *port_vcs = &vcs_[std::size_t{ip} * cfg_.vcs];
+        unsigned vc = rr_vc_[ip];
+        for (unsigned vv = 0; vv < cfg_.vcs;
+             ++vv, vc = next_wrapped(vc, cfg_.vcs)) {
+            VcBuf &buf = port_vcs[vc];
+            if (buf.count == 0)
                 continue;
-            Flit &f = buf.q.front();
+            Flit &f = front(buf);
             if (f.arrival + pipe > now)
                 continue; // still in BW/RC/VA stages
 
@@ -176,12 +214,15 @@ Router::evaluate(Cycle now)
             if (op.isEjection()) {
                 grants_[op_idx] = Grant{static_cast<int>(ip),
                                         static_cast<int>(vc)};
+                ++n_grants_;
                 break; // one flit per input port per cycle
             }
 
+            unsigned *credits = &credits_[std::size_t{op_idx} * cfg_.vcs];
             if (f.isHead() && buf.out_vc < 0) {
                 // VC allocation: claim a free downstream VC within the
                 // class the dateline discipline permits.
+                std::uint8_t *busy = &vc_busy_[std::size_t{op_idx} * cfg_.vcs];
                 unsigned lo = 0, hi = cfg_.vcs;
                 int cls = allowedVcClass(port, vc, op);
                 if (cls >= 0) {
@@ -190,8 +231,8 @@ Router::evaluate(Cycle now)
                     hi = lo + half;
                 }
                 for (unsigned dvc = lo; dvc < hi; ++dvc) {
-                    if (!op.vc_busy[dvc] && op.credits[dvc] > 0) {
-                        op.vc_busy[dvc] = true;
+                    if (!busy[dvc] && credits[dvc] > 0) {
+                        busy[dvc] = 1;
                         buf.out_vc = static_cast<int>(dvc);
                         ++vc_allocs_;
                         if (tracer_)
@@ -209,9 +250,10 @@ Router::evaluate(Cycle now)
                 }
             }
             if (buf.out_vc >= 0 &&
-                op.credits[static_cast<unsigned>(buf.out_vc)] > 0) {
+                credits[static_cast<unsigned>(buf.out_vc)] > 0) {
                 grants_[op_idx] = Grant{static_cast<int>(ip),
                                         static_cast<int>(vc)};
+                ++n_grants_;
                 break;
             }
         }
@@ -227,25 +269,33 @@ Router::advance(Cycle now)
     // NIs are always grouped with their router).
     const int my_region = regionTag();
 
-    for (unsigned op_idx = 0; op_idx < n_ports_; ++op_idx) {
+    // Grants are consumed in ascending output-port order, which fixes
+    // the order of ejections (deliveries) and downstream pushes.
+    for (unsigned op_idx = 0; n_grants_ > 0; ++op_idx) {
         Grant &g = grants_[op_idx];
         if (!g.valid())
             continue;
-        InPort &port = in_[static_cast<unsigned>(g.in_port)];
-        VcBuf &buf = port.vcs[static_cast<unsigned>(g.vc)];
-        ANOC_ASSERT(!buf.q.empty(), "granted VC drained unexpectedly");
-        Flit f = buf.q.front();
-        buf.q.pop_front();
+        const unsigned ip = static_cast<unsigned>(g.in_port);
+        const unsigned vc = static_cast<unsigned>(g.vc);
+        g = Grant{};
+        --n_grants_;
+
+        InPort &port = in_[ip];
+        VcBuf &buf = vcs_[std::size_t{ip} * cfg_.vcs + vc];
+        ANOC_ASSERT(buf.count > 0, "granted VC drained unexpectedly");
+        Flit f = std::move(front(buf));
+        buf.head = next_wrapped(buf.head, cfg_.vc_depth);
+        --buf.count;
+        --port.count;
+        --buffered_;
         ++flits_forwarded_;
 
         // Return the freed buffer slot upstream.
         if (port.up) {
             if (my_region >= 0 && port.up->sourceRegion() != my_region)
-                defer_credits_.push_back(
-                    {port.up, port.up_port, static_cast<unsigned>(g.vc)});
+                defer_credits_.push_back({port.up, port.up_port, vc});
             else
-                port.up->creditReturn(port.up_port,
-                                      static_cast<unsigned>(g.vc));
+                port.up->creditReturn(port.up_port, vc);
         }
 
         OutPort &op = out_[op_idx];
@@ -254,8 +304,9 @@ Router::advance(Cycle now)
             op.ni->acceptEjectedFlit(f, now);
         } else {
             unsigned dvc = static_cast<unsigned>(buf.out_vc);
-            ANOC_ASSERT(op.credits[dvc] > 0, "forwarding without credit");
-            --op.credits[dvc];
+            const std::size_t slot = std::size_t{op_idx} * cfg_.vcs + dvc;
+            ANOC_ASSERT(credits_[slot] > 0, "forwarding without credit");
+            --credits_[slot];
             f.arrival = now + 1;
             bool head = f.isHead();
             std::uint64_t pkt_id = f.pkt->id;
@@ -272,16 +323,15 @@ Router::advance(Cycle now)
                                      ", \"to\": " +
                                      std::to_string(op.peer->id()) + "}");
             if (tail)
-                op.vc_busy[dvc] = false;
+                vc_busy_[slot] = 0;
         }
         if (tail) {
             buf.route = -1;
             buf.out_vc = -1;
         }
-        rr_vc_[static_cast<unsigned>(g.in_port)] =
-            (static_cast<unsigned>(g.vc) + 1) % cfg_.vcs;
+        rr_vc_[ip] = next_wrapped(vc, cfg_.vcs);
     }
-    rr_in_ = (rr_in_ + 1) % n_ports_;
+    rr_in_ = next_wrapped(rr_in_, n_ports_);
 }
 
 void
@@ -293,16 +343,6 @@ Router::flushDeferred()
     for (DeferredFlit &d : defer_flits_)
         d.peer->acceptFlit(d.port, d.vc, std::move(d.f));
     defer_flits_.clear();
-}
-
-std::size_t
-Router::occupancy() const
-{
-    std::size_t n = 0;
-    for (const auto &ip : in_)
-        for (const auto &vb : ip.vcs)
-            n += vb.q.size();
-    return n;
 }
 
 } // namespace approxnoc

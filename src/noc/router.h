@@ -9,12 +9,17 @@
  * Credit-based flow control: the upstream side of every link owns the
  * credit counters and the VC allocation state of the downstream input
  * buffer, which is the conventional arrangement.
+ *
+ * Wakeup-driven datapath: the router keeps its buffered-flit total and
+ * a per-input-port count, so a cycle costs work only for ports that
+ * hold flits — an empty router's evaluate() returns at once, and an
+ * advance() without grants only rotates the input round-robin. Each
+ * VC buffer is a fixed ring of vc_depth slots; flits move, never copy.
  */
 #ifndef APPROXNOC_NOC_ROUTER_H
 #define APPROXNOC_NOC_ROUTER_H
 
-#include <deque>
-#include <functional>
+#include <cstdint>
 #include <vector>
 
 #include "common/contract.h"
@@ -49,15 +54,20 @@ class Router : public Clocked, public FlitSource
     ANOC_ISOLATION_CONTRACT(region_isolation);
 
     /**
-     * Computes the allowed output ports for a packet at this router,
-     * in preference order. Deterministic algorithms return one entry;
-     * partially adaptive ones return several and the router picks the
+     * The allowed output ports toward one destination router, in
+     * preference order. Deterministic algorithms have one candidate;
+     * west-first has two where it may adapt, and the router picks the
      * least congested (most downstream credits) at route-compute time.
+     * The entry for the router itself is unused: a packet at its
+     * destination router ejects at its endpoint's local port.
      */
-    using RouteFn =
-        std::function<std::vector<unsigned>(RouterId, const Packet &)>;
+    struct Route {
+        std::uint8_t n = 0; ///< candidates in use
+        std::uint8_t port[2] = {0, 0};
+    };
 
-    Router(RouterId id, const NocConfig &cfg, RouteFn route);
+    /** @param routes one Route per destination router, by RouterId. */
+    Router(RouterId id, const NocConfig &cfg, std::vector<Route> routes);
 
     RouterId id() const { return id_; }
     unsigned numPorts() const { return n_ports_; }
@@ -101,8 +111,8 @@ class Router : public Clocked, public FlitSource
     void evaluate(Cycle now) override;
     void advance(Cycle now) override;
 
-    /** Total buffered flits (drain detection). */
-    std::size_t occupancy() const;
+    /** Total buffered flits (drain detection). O(1). */
+    std::size_t occupancy() const { return buffered_; }
 
     /** @name Activity counters (power model / watchdog) */
     ///@{
@@ -122,8 +132,11 @@ class Router : public Clocked, public FlitSource
     void bindTracer(telemetry::PacketTracer *t) { tracer_ = t; }
 
   private:
+    /** One VC's input buffer: a ring of vc_depth slots in slots_. */
     struct VcBuf {
-        std::deque<Flit> q;
+        unsigned base = 0;  ///< first slot of this ring in slots_
+        unsigned head = 0;  ///< ring index of the front flit
+        unsigned count = 0; ///< buffered flits
         int route = -1;  ///< output port of the packet at the head
         int out_vc = -1; ///< downstream VC allocated to that packet
     };
@@ -131,7 +144,7 @@ class Router : public Clocked, public FlitSource
     static constexpr unsigned kDimLocal = 0xFF;
 
     struct InPort {
-        std::vector<VcBuf> vcs;
+        unsigned count = 0; ///< buffered flits over all VCs (wakeup)
         FlitSource *up = nullptr;
         unsigned up_port = 0;
         unsigned dim = kDimLocal;
@@ -140,8 +153,6 @@ class Router : public Clocked, public FlitSource
         Router *peer = nullptr;
         unsigned peer_port = 0;
         NetworkInterface *ni = nullptr;
-        std::vector<bool> vc_busy;
-        std::vector<unsigned> credits;
         unsigned dim = kDimLocal;
         bool wrap = false;
 
@@ -156,16 +167,26 @@ class Router : public Clocked, public FlitSource
 
     ANOC_REGION_SHARED RouterId id_;
     ANOC_REGION_SHARED NocConfig cfg_;
-    ANOC_REGION_SHARED RouteFn route_;
+    ANOC_REGION_SHARED std::vector<Route> routes_; ///< by destination router
     ANOC_REGION_SHARED unsigned n_ports_;
 
     /** Pipeline state is written only by this router's own
      * evaluate/advance, i.e. only by the region that owns it; peers
      * deposit flits/credits via acceptFlit/creditReturn, which the
-     * upstream router calls in-region or defers (flushDeferred). */
+     * upstream router calls in-region or defers (flushDeferred). The
+     * wakeup counts (buffered_, InPort::count) change only on those
+     * same paths, so they need no synchronisation either. */
     ANOC_SHARD_LOCAL std::vector<InPort> in_;
     ANOC_SHARD_LOCAL std::vector<OutPort> out_;
-    ANOC_SHARD_LOCAL std::vector<Grant> grants_; ///< per output port, recomputed each cycle
+    ANOC_SHARD_LOCAL std::vector<VcBuf> vcs_;  ///< by (in port, vc)
+    ANOC_SHARD_LOCAL std::vector<Flit> slots_; ///< every VC ring, by (port, vc)
+    ANOC_SHARD_LOCAL std::size_t buffered_ = 0; ///< flits in all rings
+    /** Downstream credits and VC allocation, by (out port, vc). */
+    ANOC_SHARD_LOCAL std::vector<unsigned> credits_;
+    ANOC_SHARD_LOCAL std::vector<std::uint8_t> vc_busy_;
+    /** Per output port; set by evaluate, consumed and cleared by advance. */
+    ANOC_SHARD_LOCAL std::vector<Grant> grants_;
+    ANOC_SHARD_LOCAL unsigned n_grants_ = 0;
 
     /** Downstream VC class a flit may allocate (dateline discipline). */
     int allowedVcClass(const InPort &in, unsigned in_vc,
@@ -173,6 +194,11 @@ class Router : public Clocked, public FlitSource
 
     /** Resolve the route candidates to one output port (adaptive). */
     unsigned selectRoute(const Packet &pkt) const;
+
+    /** Free credits over every VC of output @p out_port. */
+    unsigned portCredits(unsigned out_port) const;
+
+    Flit &front(const VcBuf &b) { return slots_[b.base + b.head]; }
 
     ANOC_SHARD_LOCAL unsigned rr_in_ = 0; ///< round-robin pointer over input ports
     ANOC_SHARD_LOCAL std::vector<unsigned> rr_vc_; ///< per-input round-robin over VCs
