@@ -71,8 +71,8 @@ DiVaxxCodec::encodeWord(Word w, const DataBlock &block, NodeId src, NodeId dst)
 }
 
 void
-DiVaxxCodec::encodeSpan(const DataBlock &block, NodeId src, NodeId dst,
-                        EncodedBlock &out)
+DiVaxxCodec::encodeWords(const DataBlock &block, NodeId src, NodeId dst,
+                         EncodedBlock &out)
 {
     EncoderState &e = encoders_[src];
     const bool approx_ok = block.approximable() &&

@@ -84,8 +84,8 @@ class DiVaxxCodec : public DictionaryCodecBase
   protected:
     EncodedWord encodeWord(Word w, const DataBlock &block, NodeId src,
                            NodeId dst) override;
-    void encodeSpan(const DataBlock &block, NodeId src, NodeId dst,
-                    EncodedBlock &out) override;
+    void encodeWords(const DataBlock &block, NodeId src, NodeId dst,
+                     EncodedBlock &out) override;
     void applyUpdateAtEncoder(NodeId enc, const Update &u) override;
 
   private:
@@ -107,7 +107,7 @@ class DiVaxxCodec : public DictionaryCodecBase
      * The per-word encode step both paths share: one bit-sliced TCAM
      * probe visiting matches in priority order until one holds a
      * usable mapping for @p dst. @p approx_ok and @p type are hoisted
-     * by encodeSpan and recomputed per word by encodeWord.
+     * by encodeWords and recomputed per word by encodeWord.
      */
     EncodedWord encodeOne(EncoderState &e, Word w, DataType type,
                           bool approx_ok, NodeId dst);

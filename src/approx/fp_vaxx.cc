@@ -1,7 +1,5 @@
 #include "approx/fp_vaxx.h"
 
-#include "common/arena.h"
-
 namespace approxnoc {
 
 namespace {
@@ -40,8 +38,8 @@ FpVaxxCodec::encode(const DataBlock &block, NodeId src, NodeId dst, Cycle)
 }
 
 EncodedBlock
-FpVaxxCodec::encodeImpl(const DataBlock &block, NodeId src, NodeId dst,
-                        std::pmr::memory_resource *mr)
+FpVaxxCodec::encodeBlock(const DataBlock &block, NodeId src, NodeId dst,
+                         Cycle)
 {
     noteEncoded(block.size());
     const bool approximable = block.approximable() &&
@@ -49,7 +47,7 @@ FpVaxxCodec::encodeImpl(const DataBlock &block, NodeId src, NodeId dst,
                               avcl_.errorModel().enabled();
     EncodedBlock enc;
     if (!approximable) {
-        enc = fpc_encode_block(block, [](std::size_t) { return 0u; }, mr);
+        enc = fpc_encode_block(block, [](std::size_t) { return 0u; });
     } else if (block.size() > kMaxHoistedWords) {
         enc = fpc_encode_block(block,
                                [&](std::size_t i) -> unsigned {
@@ -62,8 +60,7 @@ FpVaxxCodec::encodeImpl(const DataBlock &block, NodeId src, NodeId dst,
                                        fpc_match(w, 0))
                                        return 0u;
                                    return d.dont_care_bits;
-                               },
-                               mr);
+                               });
     } else {
         unsigned k[kMaxHoistedWords];
         for (std::size_t i = 0; i < block.size(); ++i) {
@@ -76,24 +73,10 @@ FpVaxxCodec::encodeImpl(const DataBlock &block, NodeId src, NodeId dst,
             else
                 k[i] = d.dont_care_bits;
         }
-        enc = fpc_encode_block(block, [&](std::size_t i) { return k[i]; }, mr);
+        enc = fpc_encode_block(block, [&](std::size_t i) { return k[i]; });
     }
     noteBlockEncoded(enc, block, src, dst);
     return enc;
-}
-
-EncodedBlock
-FpVaxxCodec::encodeBlock(const DataBlock &block, NodeId src, NodeId dst,
-                         Cycle)
-{
-    return encodeImpl(block, src, dst, nullptr);
-}
-
-EncodedBlock
-FpVaxxCodec::encodeSpan(const DataBlock &block, NodeId src, NodeId dst,
-                        Cycle, Arena &arena)
-{
-    return encodeImpl(block, src, dst, &arena);
 }
 
 DataBlock
@@ -106,18 +89,6 @@ FpVaxxCodec::decode(const EncodedBlock &enc, NodeId, NodeId, Cycle)
     std::vector<Word> ws(enc.wordCount());
     noteMismatches(fpc_decode_block(enc, ws.data()));
     return DataBlock(std::move(ws), enc.type(), enc.approximable());
-}
-
-DecodedSpan
-FpVaxxCodec::decodeSpan(const EncodedBlock &enc, NodeId, NodeId, Cycle,
-                        Arena &arena)
-{
-    noteDecoded(enc.wordCount());
-    noteBlockDecoded();
-    Word *buf = arena.alloc<Word>(enc.wordCount());
-    noteMismatches(fpc_decode_block(enc, buf));
-    return DecodedSpan{buf, enc.wordCount(), enc.type(),
-                       enc.approximable()};
 }
 
 } // namespace approxnoc

@@ -52,12 +52,8 @@ class FpVaxxCodec : public CodecSystem
      * Emits the same NR bits as encode(). */
     EncodedBlock encodeBlock(const DataBlock &block, NodeId src, NodeId dst,
                              Cycle now) override;
-    EncodedBlock encodeSpan(const DataBlock &block, NodeId src, NodeId dst,
-                            Cycle now, Arena &arena) override;
     DataBlock decode(const EncodedBlock &enc, NodeId src, NodeId dst,
                      Cycle now) override;
-    DecodedSpan decodeSpan(const EncodedBlock &enc, NodeId src, NodeId dst,
-                           Cycle now, Arena &arena) override;
 
     const Avcl &avcl() const { return avcl_; }
     FpcPriorityMode priorityMode() const { return mode_; }
@@ -80,11 +76,6 @@ class FpVaxxCodec : public CodecSystem
     }
 
   private:
-    /** The one batched encode body behind encodeBlock()/encodeSpan():
-     * hoisted AVCL analysis, NR storage on @p mr (null = heap). */
-    EncodedBlock encodeImpl(const DataBlock &block, NodeId src, NodeId dst,
-                            std::pmr::memory_resource *mr);
-
     /** Shared read-only analysis logic; its activation count is the
      * Avcl class's own relaxed-atomic contract state. */
     ANOC_REGION_SHARED Avcl avcl_;

@@ -3,27 +3,12 @@
 #include <algorithm>
 #include <vector>
 
-#include "common/arena.h"
 #include "common/bits.h"
 
 namespace approxnoc {
 
 EncodedBlock
 WindowVaxxCodec::encode(const DataBlock &block, NodeId src, NodeId dst, Cycle)
-{
-    return encodeImpl(block, src, dst, nullptr);
-}
-
-EncodedBlock
-WindowVaxxCodec::encodeSpan(const DataBlock &block, NodeId src, NodeId dst,
-                            Cycle, Arena &arena)
-{
-    return encodeImpl(block, src, dst, &arena);
-}
-
-EncodedBlock
-WindowVaxxCodec::encodeImpl(const DataBlock &block, NodeId src, NodeId dst,
-                            std::pmr::memory_resource *mr)
 {
     noteEncoded(block.size());
     const bool approx_ok = block.approximable() &&
@@ -32,7 +17,7 @@ WindowVaxxCodec::encodeImpl(const DataBlock &block, NodeId src, NodeId dst,
     last_spent_ = 0.0;
     if (!approx_ok) {
         EncodedBlock enc =
-            fpc_encode_block(block, [](std::size_t) { return 0u; }, mr);
+            fpc_encode_block(block, [](std::size_t) { return 0u; });
         noteBlockEncoded(enc);
         return enc;
     }
@@ -78,8 +63,8 @@ WindowVaxxCodec::encodeImpl(const DataBlock &block, NodeId src, NodeId dst,
         ks[i] = d.dont_care_bits;
     }
 
-    EncodedBlock enc = fpc_encode_block(
-        block, [&](std::size_t i) { return ks[i]; }, mr);
+    EncodedBlock enc =
+        fpc_encode_block(block, [&](std::size_t i) { return ks[i]; });
     last_spent_ = spent;
     noteBlockEncoded(enc, block, src, dst);
     return enc;
@@ -93,18 +78,6 @@ WindowVaxxCodec::decode(const EncodedBlock &enc, NodeId, NodeId, Cycle)
     std::vector<Word> ws(enc.wordCount());
     noteMismatches(fpc_decode_block(enc, ws.data()));
     return DataBlock(std::move(ws), enc.type(), enc.approximable());
-}
-
-DecodedSpan
-WindowVaxxCodec::decodeSpan(const EncodedBlock &enc, NodeId, NodeId, Cycle,
-                            Arena &arena)
-{
-    noteDecoded(enc.wordCount());
-    noteBlockDecoded();
-    Word *buf = arena.alloc<Word>(enc.wordCount());
-    noteMismatches(fpc_decode_block(enc, buf));
-    return DecodedSpan{buf, enc.wordCount(), enc.type(),
-                       enc.approximable()};
 }
 
 } // namespace approxnoc

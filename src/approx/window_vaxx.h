@@ -41,12 +41,8 @@ class WindowVaxxCodec : public CodecSystem
 
     EncodedBlock encode(const DataBlock &block, NodeId src, NodeId dst,
                         Cycle now) override;
-    EncodedBlock encodeSpan(const DataBlock &block, NodeId src, NodeId dst,
-                            Cycle now, Arena &arena) override;
     DataBlock decode(const EncodedBlock &enc, NodeId src, NodeId dst,
                      Cycle now) override;
-    DecodedSpan decodeSpan(const EncodedBlock &enc, NodeId src, NodeId dst,
-                           Cycle now, Arena &arena) override;
 
     const ErrorModel &errorModel() const { return model_; }
     double perWordCap() const { return per_word_cap_; }
@@ -62,17 +58,12 @@ class WindowVaxxCodec : public CodecSystem
     }
 
   private:
-    /** The one encode body behind encode()/encodeSpan(): budget walk
-     * then fpc_encode_block with NR storage on @p mr (null = heap). */
-    EncodedBlock encodeImpl(const DataBlock &block, NodeId src, NodeId dst,
-                            std::pmr::memory_resource *mr);
-
     ANOC_REGION_SHARED ErrorModel model_;
     ANOC_REGION_SHARED double per_word_cap_;
     /** Serial-only diagnostic: a plain double overwritten by every
-     * encode regardless of src, so under sharded encode its value is
-     * whichever shard wrote last. Read only by serial tests; not part
-     * of any artifact, hence exempt rather than RelaxedCounter. */
+     * encode regardless of src, so it is not per-source state. Read
+     * only by serial tests; not part of any artifact, hence exempt
+     * rather than RelaxedCounter. */
     // anoc-lint: allow(C1) -- last-writer-wins diagnostic, read only by serial tests, never feeds artifacts
     double last_spent_ = 0.0;
 };

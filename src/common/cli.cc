@@ -1,5 +1,6 @@
 #include "common/cli.h"
 
+#include <algorithm>
 #include <cstdlib>
 
 #include "common/log.h"
@@ -61,6 +62,17 @@ CliArgs::getDouble(const std::string &name, double def) const
     if (end == it->second.c_str())
         ANOC_FATAL("flag --", name, " expects a number, got '", it->second, "'");
     return v;
+}
+
+void
+CliArgs::rejectUnknown(std::initializer_list<std::string_view> known) const
+{
+    for (const auto &[name, value] : values_)
+        if (std::find(known.begin(), known.end(), name) == known.end())
+            ANOC_FATAL("unknown flag --", name, " (see --help)");
+    if (!positional_.empty())
+        ANOC_FATAL("unexpected argument '", positional_.front(),
+                   "' (flags take the form --name=value)");
 }
 
 bool

@@ -8,13 +8,18 @@
 #ifndef APPROXNOC_COMMON_CLI_H
 #define APPROXNOC_COMMON_CLI_H
 
+#include <initializer_list>
 #include <map>
 #include <string>
+#include <string_view>
 #include <vector>
 
 namespace approxnoc {
 
-/** Parsed command line. Unknown flags are kept and can be rejected. */
+/**
+ * Parsed command line. Every flag is kept; a binary that knows its
+ * full flag set rejects the rest with rejectUnknown().
+ */
 class CliArgs
 {
   public:
@@ -27,6 +32,14 @@ class CliArgs
     long getInt(const std::string &name, long def) const;
     double getDouble(const std::string &name, double def) const;
     bool getBool(const std::string &name, bool def) const;
+
+    /**
+     * Fatal error (exit 1) naming the first flag, in name order, that
+     * is not in @p known, or else the first positional argument. Call
+     * it right after parsing, so a misspelt flag fails instead of
+     * silently running with a default.
+     */
+    void rejectUnknown(std::initializer_list<std::string_view> known) const;
 
     /** Positional (non-flag) arguments. */
     const std::vector<std::string> &positional() const { return positional_; }

@@ -5,7 +5,7 @@
  * the counter carries no synchronization, only a sum — which is all
  * the activity/telemetry counters need, because addition commutes, so
  * the final value is independent of thread interleaving. This is what
- * makes per-shard parallel block encoding (harness/FlowShardedEncoder)
+ * makes decodes in parallel regions (region-parallel stepping)
  * produce stats byte-identical to the serial path.
  *
  * Copy and assignment transfer the current value, so classes holding

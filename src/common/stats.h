@@ -1,16 +1,13 @@
 /**
  * @file
  * Lightweight statistics package: counters, running means and
- * fixed-bucket histograms, grouped into named registries so simulators
- * can dump everything at end of run.
+ * fixed-bucket histograms. telemetry::MetricRegistry groups them under
+ * hierarchical names so simulators can dump everything at end of run.
  */
 #ifndef APPROXNOC_COMMON_STATS_H
 #define APPROXNOC_COMMON_STATS_H
 
 #include <cstdint>
-#include <map>
-#include <ostream>
-#include <string>
 #include <vector>
 
 #include "common/relaxed_counter.h"
@@ -19,10 +16,10 @@ namespace approxnoc {
 
 /**
  * Monotonic event counter. Increments are relaxed-atomic so codecs
- * bound to one set of telemetry counters can record from concurrent
- * per-flow encode shards (harness/FlowShardedEncoder): addition
- * commutes, so the total is independent of thread interleaving and
- * the dumped stats stay byte-identical to a serial run.
+ * bound to one set of telemetry counters can record from decodes in
+ * concurrent simulator regions: addition commutes, so the total is
+ * independent of thread interleaving and the dumped stats stay
+ * byte-identical to a serial run.
  */
 class Counter
 {
@@ -139,35 +136,6 @@ class Histogram
     std::uint64_t count_ = 0;
     std::uint64_t underflow_ = 0;
     double sum_ = 0.0;
-};
-
-/**
- * Named collection of stats. Components hold references to entries;
- * the registry owns them and can print a report.
- */
-class StatRegistry
-{
-  public:
-    Counter &counter(const std::string &name) { return counters_[name]; }
-    RunningStat &stat(const std::string &name) { return stats_[name]; }
-
-    const std::map<std::string, Counter> &counters() const { return counters_; }
-    const std::map<std::string, RunningStat> &stats() const { return stats_; }
-
-    /**
-     * Fold another registry in, entry by entry (parallel per-shard
-     * merge). Entries are keyed by name, so the dumped result is
-     * independent of the order registries are merged in.
-     */
-    void merge(const StatRegistry &o);
-
-    /** Dump every entry as "name value [mean min max]" lines. */
-    void dump(std::ostream &os) const;
-    void reset();
-
-  private:
-    std::map<std::string, Counter> counters_;
-    std::map<std::string, RunningStat> stats_;
 };
 
 } // namespace approxnoc

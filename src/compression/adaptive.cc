@@ -1,6 +1,5 @@
 #include "compression/adaptive.h"
 
-#include "common/arena.h"
 #include "common/log.h"
 
 namespace approxnoc {
@@ -49,15 +48,8 @@ AdaptiveCodec::encodeBlock(const DataBlock &block, NodeId src, NodeId dst,
 }
 
 EncodedBlock
-AdaptiveCodec::encodeSpan(const DataBlock &block, NodeId src, NodeId dst,
-                          Cycle now, Arena &arena)
-{
-    return encodeImpl(block, src, dst, now, true, &arena);
-}
-
-EncodedBlock
 AdaptiveCodec::encodeImpl(const DataBlock &block, NodeId src, NodeId dst,
-                          Cycle now, bool batched, Arena *arena)
+                          Cycle now, bool batched)
 {
     ANOC_ASSERT(src < senders_.size(), "sender out of range");
     SenderState &s = senders_[src];
@@ -71,15 +63,13 @@ AdaptiveCodec::encodeImpl(const DataBlock &block, NodeId src, NodeId dst,
         } else {
             ++bypassed_;
             // Raw-block flag rides in the head flit, hence 32 bits/word.
-            EncodedBlock raw =
-                raw_encoded_block(block, inner_->rawKind(), 32, arena);
+            EncodedBlock raw = raw_encoded_block(block, inner_->rawKind());
             noteBlockEncoded(raw);
             return raw;
         }
     }
 
-    EncodedBlock enc = arena ? inner_->encodeSpan(block, src, dst, now, *arena)
-                     : batched ? inner_->encodeBlock(block, src, dst, now)
+    EncodedBlock enc = batched ? inner_->encodeBlock(block, src, dst, now)
                                : inner_->encode(block, src, dst, now);
     s.window_raw_bits += block.sizeBits();
     s.window_enc_bits += enc.bits();

@@ -47,20 +47,8 @@ class AdaptiveCodec : public CodecSystem
      * blocks to the inner codec's batched encodeBlock. */
     EncodedBlock encodeBlock(const DataBlock &block, NodeId src, NodeId dst,
                              Cycle now) override;
-    /** Arena path: same bypass/probe logic; bypassed raw blocks and
-     * delegated encodes both land their word storage in @p arena. */
-    EncodedBlock encodeSpan(const DataBlock &block, NodeId src, NodeId dst,
-                            Cycle now, Arena &arena) override;
     DataBlock decode(const EncodedBlock &enc, NodeId src, NodeId dst,
                      Cycle now) override;
-    /** The wrapper adds no decode-side state: forward to the inner
-     * codec's arena path. */
-    DecodedSpan
-    decodeSpan(const EncodedBlock &enc, NodeId src, NodeId dst, Cycle now,
-               Arena &arena) override
-    {
-        return inner_->decodeSpan(enc, src, dst, now, arena);
-    }
     /** Batched path: the wrapper adds no decode-side state, so this
      * forwards straight to the inner codec's batched decodeBlock —
      * raw-bypassed blocks decode as all-uncompressed words there. */
@@ -138,7 +126,7 @@ class AdaptiveCodec : public CodecSystem
     };
 
     EncodedBlock encodeImpl(const DataBlock &block, NodeId src, NodeId dst,
-                            Cycle now, bool batched, Arena *arena = nullptr);
+                            Cycle now, bool batched);
     void evaluateWindow(SenderState &s);
 
     ANOC_REGION_SHARED std::unique_ptr<CodecSystem> inner_;

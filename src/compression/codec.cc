@@ -2,25 +2,11 @@
 
 #include <algorithm>
 
-#include "common/arena.h"
 #include "common/relative_error.h"
 #include "telemetry/error_profile.h"
 #include "telemetry/phase_profiler.h"
 
 namespace approxnoc {
-
-DecodedSpan
-CodecSystem::decodeSpan(const EncodedBlock &enc, NodeId src, NodeId dst,
-                        Cycle now, Arena &arena)
-{
-    // Default: route through decodeBlock() (all side effects included)
-    // and copy the result into the arena once. Schemes override this
-    // to decode straight into arena storage.
-    DataBlock b = decodeBlock(enc, src, dst, now);
-    Word *buf = arena.alloc<Word>(b.size());
-    std::copy(b.words().begin(), b.words().end(), buf);
-    return DecodedSpan{buf, b.size(), b.type(), b.approximable()};
-}
 
 void
 CodecSystem::bindProfiler(telemetry::PhaseProfiler *prof)

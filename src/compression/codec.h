@@ -26,28 +26,6 @@ class ErrorProfile;
 class PhaseProfiler;
 } // namespace telemetry
 
-class Arena;
-class EncodedBlock;
-
-/**
- * Zero-copy view of a decoded block: the words live in the Arena the
- * caller passed to decodeSpan() and stay valid until that arena is
- * reset. Carries the same metadata as DataBlock without owning
- * storage; callers needing ownership copy into a DataBlock.
- */
-struct DecodedSpan {
-    const Word *data = nullptr;
-    std::size_t size = 0;
-    DataType type = DataType::Raw;
-    bool approximable = false;
-
-    Word
-    word(std::size_t i) const
-    {
-        return data[i];
-    }
-};
-
 /** Default codec pipeline latencies (paper Sec. 4.3, after [12]). */
 inline constexpr Cycle kCompressionLatency = 3;   ///< 2 match + 1 encode
 inline constexpr Cycle kDecompressionLatency = 2;
@@ -87,25 +65,23 @@ struct CodecCounters {
  * Dictionary schemes are stateful and time-aware (update notifications
  * apply after a delay), hence the @p now parameters.
  *
- * ## Flow-isolation contract (parallel encoding)
+ * ## Flow-isolation contract (per-source encoder state)
  *
  * Encoder-side mutable state is keyed by the *source* endpoint: the
  * dictionary schemes keep one PMT (CAM/TCAM plus replacement
  * metadata) and one pending-update FIFO per encoder node, the
  * adaptive wrapper one mode window per sender, and the stateless
  * schemes no per-call state at all. Blocks of flows with distinct
- * @p src therefore never share mutable encoder state, and
- * encode()/encodeBlock() calls for distinct @p src may run
- * concurrently. The remaining cross-source state is commutative
- * relaxed-atomic counters (word counts, AVCL activations, telemetry
- * CodecCounters), so totals are independent of thread interleaving.
+ * @p src therefore never share mutable encoder state. The remaining
+ * cross-source state is commutative relaxed-atomic counters (word
+ * counts, AVCL activations, telemetry CodecCounters), so totals are
+ * independent of call interleaving.
  *
- * Callers must still serialize all encodes of any one source
- * endpoint, in submission order — same-src blocks contend on that
- * encoder's replacement state and update FIFO even when their @p dst
- * differ. harness/FlowShardedEncoder enforces exactly this
- * partitioning and is the supported way to encode a batch of
- * independent blocks in parallel.
+ * Callers must serialize all encodes of any one source endpoint, in
+ * submission order — same-src blocks contend on that encoder's
+ * replacement state and update FIFO even when their @p dst differ.
+ * In the simulator each NetworkInterface encodes only as its own
+ * source endpoint (it asserts this), and only from serial context.
  *
  * ## Destination-isolation contract (parallel decoding)
  *
@@ -128,15 +104,17 @@ struct CodecCounters {
  * endpoint, in submission order — same-dst blocks contend on that
  * decoder's learning state even when their @p src differ — and
  * (b) phase-separate encodes from decodes: an encode drains the
- * pending-update channels decodes append to, so the two sides may
- * each run sharded internally but must not overlap in time.
- * harness/FlowShardedDecoder enforces the decode partitioning;
- * harness/ShardedCodecPipeline enforces the phasing for a full
- * encode -> wire -> decode batch.
+ * pending-update channels decodes append to, so the two sides must
+ * not overlap in time. Region-parallel stepping
+ * (sim/region_scheduler.h) relies on this contract: each NI decodes
+ * at ejection inside its region's parallel phase, only as its own
+ * destination, so (a) holds because a node belongs to one region;
+ * encodes and notification drains run only in serial context between
+ * the parallel phases, so (b) holds.
  *
  * Every notification a decoder emits carries a per-destination
  * monotonic sequence number, so drainNotifications(dst) streams are
- * reproducible at any decode job count.
+ * reproducible at any region count.
  */
 class CodecSystem
 {
@@ -176,24 +154,6 @@ class CodecSystem
     }
 
     /**
-     * Zero-copy batched encode: identical NR bits and side effects to
-     * encodeBlock(), but the returned block's word storage lives in
-     * @p arena — no heap allocation on the hot path once the arena is
-     * warm. The block is valid until the arena is reset; moving it
-     * keeps the arena backing, copying it detaches onto the heap.
-     * The default forwards to encodeBlock() (heap-backed, always
-     * correct); schemes override it to actually place storage in the
-     * arena. Same serialization obligations as encodeBlock().
-     */
-    virtual EncodedBlock
-    encodeSpan(const DataBlock &block, NodeId src, NodeId dst, Cycle now,
-               Arena &arena)
-    {
-        (void)arena;
-        return encodeBlock(block, src, dst, now);
-    }
-
-    /**
      * Decode @p enc at node @p dst, received from @p src. Kept as the
      * executable specification of the decoder: the batched
      * decodeBlock() must reconstruct a bit-identical DataBlock.
@@ -216,18 +176,6 @@ class CodecSystem
         return decode(enc, src, dst, now);
     }
 
-    /**
-     * Zero-copy batched decode: identical words and side effects to
-     * decodeBlock(), but the reconstructed words are written into
-     * exactly enc.wordCount() arena-resident Words and returned as a
-     * view — valid until @p arena is reset. The default routes
-     * through decodeBlock() and copies once; schemes override it to
-     * decode straight into the arena. Same serialization obligations
-     * as decodeBlock().
-     */
-    virtual DecodedSpan decodeSpan(const EncodedBlock &enc, NodeId src,
-                                   NodeId dst, Cycle now, Arena &arena);
-
     /** Cycles the encoder adds before the first body flit is ready. */
     virtual Cycle compressionLatency() const { return kCompressionLatency; }
 
@@ -247,7 +195,7 @@ class CodecSystem
          * notification decoder @c from ever emitted. Strictly
          * increasing within one drainNotifications(dst) stream (and
          * across successive drains of the same @c dst), independent
-         * of the decode job count — the ordering witness of the
+         * of the region count — the ordering witness of the
          * destination-isolation contract.
          */
         std::uint64_t seq = 0;
@@ -383,9 +331,8 @@ class CodecSystem
 
     /** Relaxed-atomic: bookkeeping shared by every source (encode
      * side) and every destination (decode side). Sums commute, so
-     * parallel per-flow encode shards and per-destination decode
-     * shards produce the same totals as a serial run (see the
-     * isolation contracts above). */
+     * decodes running in parallel regions produce the same totals as
+     * a serial run (see the isolation contracts above). */
     ANOC_CROSS_SHARD(RelaxedCounter) RelaxedCounter mismatches_;
     ANOC_CROSS_SHARD(RelaxedCounter) RelaxedCounter words_encoded_;
     ANOC_CROSS_SHARD(RelaxedCounter) RelaxedCounter words_decoded_;
@@ -409,12 +356,8 @@ class BaselineCodec : public CodecSystem
     Scheme scheme() const override { return Scheme::Baseline; }
     EncodedBlock encode(const DataBlock &block, NodeId src, NodeId dst,
                         Cycle now) override;
-    EncodedBlock encodeSpan(const DataBlock &block, NodeId src, NodeId dst,
-                            Cycle now, Arena &arena) override;
     DataBlock decode(const EncodedBlock &enc, NodeId src, NodeId dst,
                      Cycle now) override;
-    DecodedSpan decodeSpan(const EncodedBlock &enc, NodeId src, NodeId dst,
-                           Cycle now, Arena &arena) override;
     Cycle compressionLatency() const override { return 0; }
     Cycle decompressionLatency() const override { return 0; }
 };

@@ -1,6 +1,5 @@
 #include "compression/dictionary.h"
 
-#include "common/arena.h"
 #include "common/bits.h"
 #include "common/log.h"
 #include "telemetry/phase_profiler.h"
@@ -55,8 +54,7 @@ DictionaryCodecBase::preloadEncoders()
 
 EncodedBlock
 DictionaryCodecBase::finishEncoded(EncodedBlock enc, const DataBlock &block,
-                                   NodeId src, NodeId dst,
-                                   std::pmr::memory_resource *mr)
+                                   NodeId src, NodeId dst)
 {
     enc.setMeta(block.type(), block.approximable());
 
@@ -64,8 +62,8 @@ DictionaryCodecBase::finishEncoded(EncodedBlock enc, const DataBlock &block,
     // per-word encoding would expand the block, send it raw; the
     // compressed/raw flag rides in the (uncompressed) head flit.
     if (enc.bits() > block.sizeBits() && block.size() > 0)
-        enc = raw_encoded_block(
-            block, static_cast<std::uint8_t>(DiWordKind::Raw), 32, mr);
+        enc = raw_encoded_block(block,
+                                static_cast<std::uint8_t>(DiWordKind::Raw));
     noteBlockEncoded(enc, block, src, dst);
     return enc;
 }
@@ -93,29 +91,13 @@ DictionaryCodecBase::encodeBlock(const DataBlock &block, NodeId src,
     applyPending(src, now);
     noteEncoded(block.size());
     EncodedBlock enc;
-    encodeSpan(block, src, dst, enc);
+    encodeWords(block, src, dst, enc);
     return finishEncoded(std::move(enc), block, src, dst);
 }
 
-EncodedBlock
-DictionaryCodecBase::encodeSpan(const DataBlock &block, NodeId src,
-                                NodeId dst, Cycle now, Arena &arena)
-{
-    // Identical side effects and NR bits to encodeBlock(); only the
-    // word vector's storage differs (arena vs heap).
-    ANOC_ASSERT(src < cfg_.n_nodes && dst < cfg_.n_nodes,
-                "node id out of range in dictionary encode");
-    applyPending(src, now);
-    noteEncoded(block.size());
-    EncodedBlock enc(&arena);
-    enc.reserve(block.size());
-    encodeSpan(block, src, dst, enc);
-    return finishEncoded(std::move(enc), block, src, dst, &arena);
-}
-
 void
-DictionaryCodecBase::encodeSpan(const DataBlock &block, NodeId src,
-                                NodeId dst, EncodedBlock &out)
+DictionaryCodecBase::encodeWords(const DataBlock &block, NodeId src,
+                                 NodeId dst, EncodedBlock &out)
 {
     for (std::size_t i = 0; i < block.size(); ++i)
         out.append(encodeWord(block.word(i), block, src, dst));
@@ -130,40 +112,7 @@ DictionaryCodecBase::decode(const EncodedBlock &enc, NodeId src, NodeId dst,
     noteDecoded(enc.wordCount());
     noteBlockDecoded();
     std::vector<Word> ws(enc.wordCount());
-    decodeSpan(enc, src, dst, now, ws.data());
-    return DataBlock(std::move(ws), enc.type(), enc.approximable());
-}
-
-DataBlock
-DictionaryCodecBase::decodeBlock(const EncodedBlock &enc, NodeId src,
-                                 NodeId dst, Cycle now)
-{
-    // decode() is already block-grained for the dictionary schemes;
-    // both entry points share decodeSpan, so the batched path is the
-    // spec path by construction (the decoder-side encodeOne pattern).
-    return decode(enc, src, dst, now);
-}
-
-DecodedSpan
-DictionaryCodecBase::decodeSpan(const EncodedBlock &enc, NodeId src,
-                                NodeId dst, Cycle now, Arena &arena)
-{
-    // Identical words and learning side effects to decode(); the
-    // reconstruction lands in arena storage and is returned by view.
-    ANOC_ASSERT(src < cfg_.n_nodes && dst < cfg_.n_nodes,
-                "node id out of range in dictionary decode");
-    noteDecoded(enc.wordCount());
-    noteBlockDecoded();
-    Word *buf = arena.alloc<Word>(enc.wordCount());
-    decodeSpan(enc, src, dst, now, buf);
-    return DecodedSpan{buf, enc.wordCount(), enc.type(),
-                       enc.approximable()};
-}
-
-void
-DictionaryCodecBase::decodeSpan(const EncodedBlock &enc, NodeId src,
-                                NodeId dst, Cycle now, Word *out)
-{
+    Word *out = ws.data();
     DecoderState &d = decoders_[dst];
     for (const auto &w : enc.words()) {
         Word v;
@@ -204,6 +153,7 @@ DictionaryCodecBase::decodeSpan(const EncodedBlock &enc, NodeId src,
         for (unsigned r = 0; r < w.run; ++r)
             *out++ = v;
     }
+    return DataBlock(std::move(ws), enc.type(), enc.approximable());
 }
 
 void
@@ -417,8 +367,8 @@ DiCompCodec::encodeWord(Word w, const DataBlock &, NodeId src, NodeId dst)
 }
 
 void
-DiCompCodec::encodeSpan(const DataBlock &block, NodeId src, NodeId dst,
-                        EncodedBlock &out)
+DiCompCodec::encodeWords(const DataBlock &block, NodeId src, NodeId dst,
+                         EncodedBlock &out)
 {
     EncoderState &e = encoders_[src];
     for (std::size_t i = 0; i < block.size(); ++i)

@@ -21,7 +21,6 @@
 #include <cstdint>
 #include <deque>
 #include <map>
-#include <memory_resource>
 #include <optional>
 #include <vector>
 
@@ -71,8 +70,8 @@ enum class DiWordKind : std::uint8_t {
  * path. Subclasses own the encoder-side structures.
  *
  * State isolation (the CodecSystem flow-isolation and
- * destination-isolation contracts, which the parallel paths in
- * harness/FlowShardedEncoder and harness/FlowShardedDecoder rely on):
+ * destination-isolation contracts, which region-parallel stepping
+ * relies on):
  * encode()/encodeBlock() for source s touches only the subclass's
  * encoders_[s] (PMT, replacement metadata, per-destination index
  * views) and pending_[s] (the update channels applyPending merges)
@@ -95,14 +94,11 @@ class DictionaryCodecBase : public CodecSystem
                         Cycle now) override;
     EncodedBlock encodeBlock(const DataBlock &block, NodeId src, NodeId dst,
                              Cycle now) override;
-    EncodedBlock encodeSpan(const DataBlock &block, NodeId src, NodeId dst,
-                            Cycle now, Arena &arena) override;
+    /** Block-grained already: hoists the destination's DecoderState
+     * out of the word loop, so the default decodeBlock() forwards
+     * here and the batched path is the spec path by construction. */
     DataBlock decode(const EncodedBlock &enc, NodeId src, NodeId dst,
                      Cycle now) override;
-    DataBlock decodeBlock(const EncodedBlock &enc, NodeId src, NodeId dst,
-                          Cycle now) override;
-    DecodedSpan decodeSpan(const EncodedBlock &enc, NodeId src, NodeId dst,
-                           Cycle now, Arena &arena) override;
 
     std::vector<Notification> drainNotifications(NodeId dst) override;
 
@@ -157,21 +153,8 @@ class DictionaryCodecBase : public CodecSystem
      * that hoists encoder-state lookup and per-block predicates, so
      * the whole 16-word block costs one virtual dispatch.
      */
-    virtual void encodeSpan(const DataBlock &block, NodeId src, NodeId dst,
-                            EncodedBlock &out);
-
-    /**
-     * Batched inner loop behind decodeBlock(): write the decoded
-     * words of @p enc — exactly enc.wordCount() of them — to @p out,
-     * with the destination's DecoderState and per-block predicates
-     * hoisted. Takes a raw output pointer (the count is known upfront)
-     * so decode() fills a heap vector and the zero-copy decodeSpan
-     * overload fills arena storage through the very same code — the
-     * spec and batched paths are trivially bit-identical (the
-     * encodeOne pattern, decoder side).
-     */
-    virtual void decodeSpan(const EncodedBlock &enc, NodeId src, NodeId dst,
-                            Cycle now, Word *out);
+    virtual void encodeWords(const DataBlock &block, NodeId src, NodeId dst,
+                             EncodedBlock &out);
 
     /** Apply one due notification to encoder @p enc's tables. */
     virtual void applyUpdateAtEncoder(NodeId enc, const Update &u) = 0;
@@ -184,7 +167,7 @@ class DictionaryCodecBase : public CodecSystem
      * channel whose head is not yet due blocks only itself. The merge
      * is a pure function of the channel contents, which are each
      * owned by one destination — so the encoder sees the same update
-     * sequence at any decode job count.
+     * sequence at any region count.
      */
     void applyPending(NodeId enc, Cycle now);
 
@@ -205,12 +188,9 @@ class DictionaryCodecBase : public CodecSystem
 
   private:
     /** Shared encode tail: meta, incompressible-block fallback (after
-     * Das et al. [12]), per-block telemetry + QoR error recording.
-     * @p mr backs the raw fallback block (null = heap), so the arena
-     * path stays arena-backed even when the fallback fires. */
+     * Das et al. [12]), per-block telemetry + QoR error recording. */
     EncodedBlock finishEncoded(EncodedBlock enc, const DataBlock &block,
-                               NodeId src, NodeId dst,
-                               std::pmr::memory_resource *mr = nullptr);
+                               NodeId src, NodeId dst);
 
     /** Decoder-side learning on an uncompressed word from @p src. */
     void learn(Word w, DataType type, NodeId src, NodeId dst, Cycle now);
@@ -291,8 +271,8 @@ class DiCompCodec : public DictionaryCodecBase
   protected:
     EncodedWord encodeWord(Word w, const DataBlock &block, NodeId src,
                            NodeId dst) override;
-    void encodeSpan(const DataBlock &block, NodeId src, NodeId dst,
-                    EncodedBlock &out) override;
+    void encodeWords(const DataBlock &block, NodeId src, NodeId dst,
+                     EncodedBlock &out) override;
     void applyUpdateAtEncoder(NodeId enc, const Update &u) override;
 
   private:

@@ -44,9 +44,9 @@ EncodedBlock::expectedBlock() const
 
 EncodedBlock
 raw_encoded_block(const DataBlock &block, std::uint8_t kind,
-                  std::uint16_t bits_per_word, std::pmr::memory_resource *mr)
+                  std::uint16_t bits_per_word)
 {
-    EncodedBlock raw(mr);
+    EncodedBlock raw;
     raw.reserve(block.size());
     for (std::size_t i = 0; i < block.size(); ++i) {
         EncodedWord ew;

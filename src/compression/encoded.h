@@ -8,7 +8,6 @@
 #define APPROXNOC_COMPRESSION_ENCODED_H
 
 #include <cstdint>
-#include <memory_resource>
 #include <vector>
 
 #include "common/data_block.h"
@@ -43,25 +42,10 @@ struct EncodedWord {
     bool uncompressed = false;
 };
 
-/** A whole encoded cache block: the NR plus bookkeeping.
- *
- * Storage is pmr-backed so the zero-copy encode path (encodeSpan) can
- * place the word vector directly in a per-batch Arena: moves keep the
- * arena backing (and its lifetime — valid until the arena resets),
- * copies land on the default heap resource, so an arena-backed block
- * that must outlive its batch is detached with a plain copy. */
+/** A whole encoded cache block: the NR plus bookkeeping. */
 class EncodedBlock
 {
   public:
-    EncodedBlock() = default;
-
-    /** Arena-backed block: the word vector allocates from @p mr (null
-     * means the default heap resource). */
-    explicit EncodedBlock(std::pmr::memory_resource *mr)
-        : words_(mr ? mr : std::pmr::get_default_resource())
-    {
-    }
-
     void
     reserve(std::size_t n_units)
     {
@@ -87,7 +71,7 @@ class EncodedBlock
     DataType type() const { return type_; }
     bool approximable() const { return approximable_; }
 
-    const std::pmr::vector<EncodedWord> &words() const { return words_; }
+    const std::vector<EncodedWord> &words() const { return words_; }
 
     /** Total NR payload size in bits. */
     std::size_t bits() const { return bits_; }
@@ -108,7 +92,7 @@ class EncodedBlock
     DataBlock expectedBlock() const;
 
   private:
-    std::pmr::vector<EncodedWord> words_;
+    std::vector<EncodedWord> words_;
     std::size_t bits_ = 0;
     std::size_t n_words_ = 0;
     DataType type_ = DataType::Raw;
@@ -122,8 +106,7 @@ class EncodedBlock
  * incompressible-block fallbacks and the adaptive bypass path.
  */
 EncodedBlock raw_encoded_block(const DataBlock &block, std::uint8_t kind,
-                               std::uint16_t bits_per_word = 32,
-                               std::pmr::memory_resource *mr = nullptr);
+                               std::uint16_t bits_per_word = 32);
 
 } // namespace approxnoc
 

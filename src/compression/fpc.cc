@@ -2,7 +2,6 @@
 
 #include <algorithm>
 
-#include "common/arena.h"
 #include "common/bits.h"
 #include "common/log.h"
 
@@ -182,17 +181,6 @@ FpcCodec::encode(const DataBlock &block, NodeId, NodeId, Cycle)
     return enc;
 }
 
-EncodedBlock
-FpcCodec::encodeSpan(const DataBlock &block, NodeId, NodeId, Cycle,
-                     Arena &arena)
-{
-    noteEncoded(block.size());
-    EncodedBlock enc =
-        fpc_encode_block(block, [](std::size_t) { return 0u; }, &arena);
-    noteBlockEncoded(enc);
-    return enc;
-}
-
 std::uint64_t
 fpc_decode_block(const EncodedBlock &enc, Word *out)
 {
@@ -217,18 +205,6 @@ FpcCodec::decode(const EncodedBlock &enc, NodeId, NodeId, Cycle)
     std::vector<Word> ws(enc.wordCount());
     noteMismatches(fpc_decode_block(enc, ws.data()));
     return DataBlock(std::move(ws), enc.type(), enc.approximable());
-}
-
-DecodedSpan
-FpcCodec::decodeSpan(const EncodedBlock &enc, NodeId, NodeId, Cycle,
-                     Arena &arena)
-{
-    noteDecoded(enc.wordCount());
-    noteBlockDecoded();
-    Word *buf = arena.alloc<Word>(enc.wordCount());
-    noteMismatches(fpc_decode_block(enc, buf));
-    return DecodedSpan{buf, enc.wordCount(), enc.type(),
-                       enc.approximable()};
 }
 
 } // namespace approxnoc

@@ -159,11 +159,10 @@ Word fpc_decode(FpcPattern p, std::uint32_t payload);
  * Stateless block-level FPC decode shared by FpcCodec, FpVaxxCodec and
  * WindowVaxxCodec (the paper: approximation is encoder-only, so their
  * NRs decode identically). Writes exactly enc.wordCount()
- * reconstructed words to @p out, expanding zero runs — a raw output
- * pointer so both the heap (DataBlock) and zero-copy (arena span)
- * decode paths share it. Returns the count of decoder-vs-encoder
- * expectation mismatches so the caller can record them once per block
- * (CodecSystem::noteMismatches) instead of per word.
+ * reconstructed words to @p out, expanding zero runs. Returns the
+ * count of decoder-vs-encoder expectation mismatches so the caller can
+ * record them once per block (CodecSystem::noteMismatches) instead of
+ * per word.
  */
 std::uint64_t fpc_decode_block(const EncodedBlock &enc, Word *out);
 
@@ -188,27 +187,21 @@ class FpcCodec : public CodecSystem
 
     EncodedBlock encode(const DataBlock &block, NodeId src, NodeId dst,
                         Cycle now) override;
-    EncodedBlock encodeSpan(const DataBlock &block, NodeId src, NodeId dst,
-                            Cycle now, Arena &arena) override;
     DataBlock decode(const EncodedBlock &enc, NodeId src, NodeId dst,
                      Cycle now) override;
-    DecodedSpan decodeSpan(const EncodedBlock &enc, NodeId src, NodeId dst,
-                           Cycle now, Arena &arena) override;
 };
 
 /**
  * Block-level FPC encoding helper used by both FpcCodec and FpVaxxCodec:
  * @p k_of_word yields the per-word don't-care count (0 when exact).
  * Merges consecutive zero words (exact or approximated-to-zero) into
- * zero-run units. @p mr backs the NR's word storage (null = heap);
- * the zero-copy encodeSpan paths pass their batch arena here.
+ * zero-run units.
  */
 template <typename KFn>
 EncodedBlock
-fpc_encode_block(const DataBlock &block, KFn &&k_of_word,
-                 std::pmr::memory_resource *mr = nullptr)
+fpc_encode_block(const DataBlock &block, KFn &&k_of_word)
 {
-    EncodedBlock enc(mr);
+    EncodedBlock enc;
     enc.reserve(block.size());
     std::size_t i = 0;
     const std::size_t n = block.size();
@@ -263,8 +256,7 @@ fpc_encode_block(const DataBlock &block, KFn &&k_of_word,
     // rides in the (uncompressed) head flit.
     if (enc.bits() > block.sizeBits() && block.size() > 0)
         return raw_encoded_block(
-            block, static_cast<std::uint8_t>(FpcPattern::Uncompressed), 32,
-            mr);
+            block, static_cast<std::uint8_t>(FpcPattern::Uncompressed));
     return enc;
 }
 

@@ -43,7 +43,7 @@ NetworkInterface::enqueue(const PacketPtr &pkt, Cycle now)
         // so every encode it issues stays inside one flow shard. The
         // assert keeps that true if packet routing ever changes —
         // encoding on behalf of another source would silently break
-        // the per-src partitioning FlowShardedEncoder relies on.
+        // the per-src keying of encoder state.
         ANOC_ASSERT(pkt->src == id_,
                     "NI must encode only as its own source endpoint");
         telemetry::PhaseProfiler::Scope prof(profiler_, ph_encode_);

@@ -109,33 +109,6 @@ TEST(Histogram, PercentileSurvivesMerge)
         EXPECT_DOUBLE_EQ(a.percentile(q), all.percentile(q)) << "q=" << q;
 }
 
-TEST(StatRegistry, DumpIsMergeOrderIndependent)
-{
-    auto fill = [](StatRegistry &r, int k) {
-        r.counter("z.events").inc(static_cast<std::uint64_t>(k));
-        r.counter("a.events").inc(static_cast<std::uint64_t>(2 * k));
-        r.stat("m.lat").add(1.0 * k);
-    };
-    StatRegistry r1, r2, r3;
-    fill(r1, 1);
-    fill(r2, 2);
-    fill(r3, 3);
-
-    StatRegistry fwd, rev;
-    fwd.merge(r1);
-    fwd.merge(r2);
-    fwd.merge(r3);
-    rev.merge(r3);
-    rev.merge(r2);
-    rev.merge(r1);
-
-    std::ostringstream a, b;
-    fwd.dump(a);
-    rev.dump(b);
-    EXPECT_EQ(a.str(), b.str());
-    EXPECT_NE(a.str().find("a.events 12"), std::string::npos);
-}
-
 TEST(CliArgs, ParsesForms)
 {
     const char *argv[] = {"prog", "--alpha=3", "--beta=4.5",

@@ -3,7 +3,11 @@
  * fatal/panic discipline), malformed inputs must be rejected, and the
  * small utility types must behave at their edges.
  */
+#include <cstdio>
 #include <fstream>
+#include <string>
+#include <utility>
+
 #include <gtest/gtest.h>
 
 #include "common/bitstream.h"
@@ -42,6 +46,69 @@ TEST(ErrorPaths, CliRejectsNonNumericValues)
     EXPECT_DEATH(args.getInt("alpha", 0), "expects an integer");
     EXPECT_DEATH(args.getDouble("alpha", 0), "expects a number");
 }
+
+TEST(ErrorPaths, CliRejectUnknownNamesTheFlag)
+{
+    const char *argv[] = {"prog", "--alpha=1", "--cycle=5000"};
+    CliArgs args(3, const_cast<char **>(argv));
+    args.rejectUnknown({"alpha", "cycle"});
+    EXPECT_DEATH(args.rejectUnknown({"alpha"}), "unknown flag --cycle");
+
+    const char *pos[] = {"prog", "--alpha=1", "-cycles=5000"};
+    CliArgs with_pos(3, const_cast<char **>(pos));
+    EXPECT_DEATH(with_pos.rejectUnknown({"alpha"}),
+                 "unexpected argument '-cycles=5000'");
+}
+
+#ifdef APPROXNOC_SIM_TOOL
+namespace {
+
+/** Run approxnoc_sim with @p flags; returns its exit status and
+ * merged stdout/stderr. */
+std::pair<int, std::string>
+run_sim_tool(const std::string &flags)
+{
+    const std::string cmd =
+        std::string(APPROXNOC_SIM_TOOL) + " " + flags + " 2>&1";
+    std::string out;
+    std::FILE *p = popen(cmd.c_str(), "r");
+    if (!p)
+        return {-1, out};
+    char buf[256];
+    while (std::fgets(buf, sizeof buf, p))
+        out += buf;
+    return {pclose(p), out};
+}
+
+} // namespace
+
+TEST(ErrorPaths, SimToolRejectsUnknownFlags)
+{
+    if (!std::ifstream(APPROXNOC_SIM_TOOL).good())
+        GTEST_SKIP() << "approxnoc_sim not built";
+    // Typos must fail fast, naming the flag,
+    // instead of running a default simulation.
+    for (const char *flag : {"cycle", "sim_jobs"}) {
+        auto [status, out] =
+            run_sim_tool(std::string("--quiet --") + flag + "=5000");
+        EXPECT_NE(status, 0) << flag;
+        EXPECT_NE(out.find(std::string("unknown flag --") + flag),
+                  std::string::npos)
+            << out;
+    }
+    auto [status, out] = run_sim_tool("--quiet cycles=5000");
+    EXPECT_NE(status, 0);
+    EXPECT_NE(out.find("unexpected argument 'cycles=5000'"),
+              std::string::npos)
+        << out;
+
+    // Known flags still run.
+    auto [ok_status, ok_out] = run_sim_tool(
+        "--quiet --cycles=200 --warmup=10 --seed=3 --rows=2 --cols=2 "
+        "--scheme=DI-VAXX --threshold=5 --rate=0.05 --sim-jobs=1");
+    EXPECT_EQ(ok_status, 0) << ok_out;
+}
+#endif
 
 TEST(ErrorPaths, TraceLoadRejectsGarbage)
 {

@@ -238,7 +238,7 @@ INSTANTIATE_TEST_SUITE_P(
 // findPattern) are const and advertised safe to run concurrently with
 // each other: the only state they touch is the peeks_ activity counter,
 // which is a relaxed atomic precisely so telemetry can snapshot match
-// engines while FlowShardedEncoder shards are encoding. N threads
+// engines while other threads are using them. N threads
 // hammer a fixed Tcam and RefTcam with identical probe sequences; every
 // result must match the reference, and afterwards each engine's
 // peeks() must equal the exact probe total — a lost update would make

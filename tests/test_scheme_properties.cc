@@ -10,13 +10,22 @@
  *  4. the encoder's expectation always matches the decoder's view
  *     (consistencyMismatches == 0);
  *  5. bit accounting is internally consistent (word counts, fractions).
+ *
+ * Plus the state-isolation contracts of compression/codec.h: traffic
+ * on one flow leaves another flow's state untouched, and the
+ * per-destination notification streams are a pure function of the
+ * decode history.
  */
 #include <cmath>
+#include <memory>
+#include <string>
 #include <tuple>
+#include <vector>
 
 #include <gtest/gtest.h>
 
 #include "common/rng.h"
+#include "compression/adaptive.h"
 #include "core/codec_factory.h"
 
 using namespace approxnoc;
@@ -167,8 +176,8 @@ INSTANTIATE_TEST_SUITE_P(
     combo_name);
 
 // ---------------------------------------------------------------------------
-// Per-flow isolation (the CodecSystem contract behind
-// harness::FlowShardedEncoder, compression/codec.h): traffic on flow
+// Per-flow isolation (the CodecSystem flow-isolation contract,
+// compression/codec.h): traffic on flow
 // A = (0 -> 1) must leave flow B = (2 -> 3)'s encoder and decoder
 // state untouched. We drive B's stream through two identically
 // configured codecs — one that also carries A's stream, interleaved
@@ -287,3 +296,126 @@ INSTANTIATE_TEST_SUITE_P(DictionarySchemes, FlowIsolation,
                                      c = '_';
                              return s;
                          });
+
+// ---------------------------------------------------------------------------
+// Per-destination notification streams (the destination-isolation
+// contract, compression/codec.h): the stream a decoder emits is a pure
+// function of its decode history, which is what keeps region-parallel
+// stepping byte-identical at any region count.
+
+namespace {
+
+constexpr std::size_t kFlows = 6;
+constexpr std::size_t kNodes = 2 * kFlows; ///< srcs 0..F-1, dsts F..2F-1
+
+/** Value-local multi-flow workload: hot values + near-misses + noise. */
+std::vector<DataBlock>
+make_workload(std::uint64_t seed, std::size_t n_blocks)
+{
+    Rng rng(seed);
+    std::vector<Word> hot(48);
+    for (auto &h : hot)
+        h = (static_cast<Word>(rng.bits()) | 0x00400000u) & 0x7FFFFFFFu;
+    std::vector<DataBlock> blocks;
+    blocks.reserve(n_blocks);
+    for (std::size_t b = 0; b < n_blocks; ++b) {
+        std::vector<Word> ws(16);
+        for (auto &w : ws) {
+            double r = rng.uniform();
+            if (r < 0.15)
+                w = 0;
+            else if (r < 0.6)
+                w = hot[rng.next(hot.size())];
+            else if (r < 0.8)
+                w = hot[rng.next(hot.size())] ^
+                    static_cast<Word>(rng.next(128));
+            else
+                w = static_cast<Word>(rng.bits());
+        }
+        blocks.emplace_back(std::move(ws), DataType::Int32, true);
+    }
+    return blocks;
+}
+
+NodeId
+flow_src(std::size_t b)
+{
+    return static_cast<NodeId>(b % kFlows);
+}
+
+NodeId
+flow_dst(std::size_t b)
+{
+    return static_cast<NodeId>(kFlows + b % kFlows);
+}
+
+struct CodecUnderTest {
+    std::string name;
+    std::unique_ptr<CodecSystem> codec;
+};
+
+/** The stateful paper schemes plus the adaptive wrapper, fresh
+ * instances. */
+std::vector<CodecUnderTest>
+make_codecs()
+{
+    CodecConfig cfg;
+    cfg.n_nodes = kNodes;
+    cfg.error_threshold_pct = 10.0;
+    cfg.dict.pmt_entries = 16;
+    cfg.dict.tracker_entries = 32;
+
+    std::vector<CodecUnderTest> out;
+    for (Scheme s : {Scheme::FpComp, Scheme::FpVaxx, Scheme::DiComp,
+                     Scheme::DiVaxx})
+        out.push_back({to_string(s), CodecFactory::create(s, cfg)});
+
+    AdaptiveConfig acfg;
+    acfg.n_nodes = kNodes;
+    acfg.window_blocks = 8;
+    acfg.off_blocks = 16;
+    acfg.probe_blocks = 4;
+    out.push_back({"adaptive(DI-VAXX)",
+                   std::make_unique<AdaptiveCodec>(
+                       CodecFactory::create(Scheme::DiVaxx, cfg), acfg)});
+    return out;
+}
+
+/** Two identically driven twins drain identical per-destination
+ * notification streams — the stream is a pure function of the decode
+ * history, not of which codec instance carried it. */
+TEST(ParallelDecode, PerDestinationDrainsMatchAcrossTwins)
+{
+    const auto blocks = make_workload(0xBEEF, 240);
+    auto a = make_codecs();
+    auto b = make_codecs();
+    for (std::size_t c = 0; c < a.size(); ++c) {
+        SCOPED_TRACE(a[c].name);
+        // Train WITHOUT draining so both twins hold queued
+        // notifications, then compare the per-destination drains.
+        Cycle now = 0;
+        for (std::size_t i = 0; i < blocks.size(); ++i) {
+            auto ea = a[c].codec->encodeBlock(blocks[i], flow_src(i),
+                                              flow_dst(i), now);
+            a[c].codec->decodeBlock(ea, flow_src(i), flow_dst(i), now);
+            auto eb = b[c].codec->encodeBlock(blocks[i], flow_src(i),
+                                              flow_dst(i), now);
+            b[c].codec->decodeBlock(eb, flow_src(i), flow_dst(i), now);
+            now += 53;
+        }
+        for (NodeId d = 0; d < static_cast<NodeId>(kNodes); ++d) {
+            auto na = a[c].codec->drainNotifications(d);
+            auto nb = b[c].codec->drainNotifications(d);
+            ASSERT_EQ(na.size(), nb.size()) << "dst " << d;
+            for (std::size_t i = 0; i < na.size(); ++i) {
+                EXPECT_EQ(na[i].from, nb[i].from) << "dst " << d << " " << i;
+                EXPECT_EQ(na[i].to, nb[i].to) << "dst " << d << " " << i;
+                EXPECT_EQ(na[i].seq, nb[i].seq) << "dst " << d << " " << i;
+            }
+            // Draining is destructive: a second drain is empty.
+            EXPECT_TRUE(a[c].codec->drainNotifications(d).empty());
+        }
+    }
+}
+
+} // namespace

@@ -1,6 +1,6 @@
 /**
  * Differential / fuzz lockdown for the SIMD match engines and the
- * zero-copy encode path (docs/perf.md, "SIMD match kernels"):
+ * batched codec paths (docs/perf.md, "SIMD match kernels"):
  *
  *  - the AVX2 plane-intersection kernel against the scalar reference
  *    kernel on >= 100k randomized (planes, valid, key) triples plus the
@@ -16,9 +16,8 @@
  *    by row, without touching the environment;
  *  - pinned probe counts, so kernel-internal early exits can never
  *    leak into the power model's activity accounting;
- *  - arena-backed encodeSpan/decodeSpan against the word-at-a-time
- *    paths for every scheme, bit-for-bit, serial and through the
- *    sharded pipeline's arena mode.
+ *  - the batched encodeBlock/decodeBlock against the spec
+ *    encode/decode for every scheme, bit-for-bit.
  *
  * CTest runs this binary under both `ANOC_SIMD=scalar` and
  * `ANOC_SIMD=avx2` (tests/CMakeLists.txt: simd_diff_scalar /
@@ -35,13 +34,11 @@
 
 #include <gtest/gtest.h>
 
-#include "common/arena.h"
 #include "common/rng.h"
 #include "common/simd.h"
 #include "compression/adaptive.h"
 #include "core/codec_factory.h"
 #include "approx/window_vaxx.h"
-#include "harness/sharded_codec_pipeline.h"
 #include "tcam/match_kernel.h"
 #include "tcam/reference.h"
 #include "tcam/tcam.h"
@@ -456,11 +453,12 @@ TEST(SimdDiff, ProbeCountRegression)
 }
 
 // ---------------------------------------------------------------------
-// Arena-backed encodeSpan/decodeSpan vs the word-at-a-time paths. The
-// zero-copy path must change only where the bytes live, never which
-// bytes: NR streams, decoded words and consistency counters are all
-// compared bit-for-bit, for every scheme the factory builds plus the
-// two codecs it does not (WindowVaxx, the Adaptive wrapper).
+// Batched encodeBlock/decodeBlock vs the spec encode/decode. The
+// batched path every consumer uses must change only how the work is
+// done, never its result: NR streams, decoded words and consistency
+// counters are all compared bit-for-bit, for every scheme the factory
+// builds plus the two codecs it does not (WindowVaxx, the Adaptive
+// wrapper).
 // ---------------------------------------------------------------------
 
 DataBlock
@@ -512,20 +510,19 @@ expect_same_stream(const EncodedBlock &a, const EncodedBlock &b,
     }
 }
 
-/** Drive spec (encode/decode) and span (encodeSpan/decodeSpan through
- * one arena, reset per block) twins over identical traffic, asserting
- * bit-identity at every step. Both twins decode every block so the
- * dictionary protocols advance in lockstep. */
+/** Drive spec (encode/decode) and batched (encodeBlock/decodeBlock)
+ * twins over identical traffic, asserting bit-identity at every step.
+ * Both twins decode every block so the dictionary protocols advance
+ * in lockstep. */
 void
-run_span_roundtrip(CodecSystem &spec, CodecSystem &span,
-                   const std::string &what, std::uint64_t seed)
+run_batched_roundtrip(CodecSystem &spec, CodecSystem &batched,
+                      const std::string &what, std::uint64_t seed)
 {
     Rng rng(seed);
     std::vector<Word> hot;
     for (int i = 0; i < 8; ++i)
         hot.push_back(static_cast<Word>(rng.range(500, 5000000)));
 
-    Arena arena;
     Cycle now = 0;
     for (int block = 0; block < 250; ++block) {
         DataBlock b = make_block(rng, hot);
@@ -533,137 +530,57 @@ run_span_roundtrip(CodecSystem &spec, CodecSystem &span,
         NodeId dst = static_cast<NodeId>(2 + rng.next(2));
 
         EncodedBlock e_spec = spec.encode(b, src, dst, now);
-        EncodedBlock e_span = span.encodeSpan(b, src, dst, now, arena);
+        EncodedBlock e_batch = batched.encodeBlock(b, src, dst, now);
         ASSERT_NO_FATAL_FAILURE(
-            expect_same_stream(e_spec, e_span, what, block));
+            expect_same_stream(e_spec, e_batch, what, block));
 
         DataBlock d_spec = spec.decode(e_spec, src, dst, now);
-        DecodedSpan d_span = span.decodeSpan(e_span, src, dst, now, arena);
-        ASSERT_EQ(d_spec.size(), d_span.size) << what << " block " << block;
-        ASSERT_EQ(d_spec.type(), d_span.type) << what << " block " << block;
-        ASSERT_EQ(d_spec.approximable(), d_span.approximable)
+        DataBlock d_batch = batched.decodeBlock(e_batch, src, dst, now);
+        ASSERT_EQ(d_spec.size(), d_batch.size()) << what << " block " << block;
+        ASSERT_EQ(d_spec.type(), d_batch.type()) << what << " block " << block;
+        ASSERT_EQ(d_spec.approximable(), d_batch.approximable())
             << what << " block " << block;
-        for (std::size_t i = 0; i < d_span.size; ++i)
-            ASSERT_EQ(d_spec.word(i), d_span.word(i))
+        for (std::size_t i = 0; i < d_batch.size(); ++i)
+            ASSERT_EQ(d_spec.word(i), d_batch.word(i))
                 << what << " block " << block << " word " << i;
-
-        // The batch boundary: everything arena-backed dies here.
-        arena.reset();
         now += 51;
     }
-    EXPECT_EQ(spec.consistencyMismatches(), span.consistencyMismatches())
+    EXPECT_EQ(spec.consistencyMismatches(), batched.consistencyMismatches())
         << what;
-    // The arena retains its chunks across resets — steady state is
-    // zero live bytes and nonzero reserved capacity.
-    EXPECT_EQ(arena.bytesLive(), 0u);
-    EXPECT_GT(arena.bytesReserved(), 0u);
 }
 
-TEST(ArenaRoundTrip, EverySchemeSpanPathBitIdentical)
+TEST(BatchedRoundTrip, EverySchemeBatchedPathBitIdentical)
 {
     for (Scheme s : kAllSchemes) {
         CodecConfig cc;
         cc.n_nodes = 4;
         cc.dict.pmt_entries = 8;
         auto spec = CodecFactory::create(s, cc);
-        auto span = CodecFactory::create(s, cc);
-        run_span_roundtrip(*spec, *span, to_string(s),
-                           0xA3E0 + static_cast<std::uint64_t>(s));
+        auto batched = CodecFactory::create(s, cc);
+        run_batched_roundtrip(*spec, *batched, to_string(s),
+                              0xA3E0 + static_cast<std::uint64_t>(s));
     }
 }
 
-TEST(ArenaRoundTrip, WindowVaxxSpanPathBitIdentical)
+TEST(BatchedRoundTrip, WindowVaxxBatchedPathBitIdentical)
 {
     ErrorModel model(10.0, ErrorRangeMode::Shift);
     WindowVaxxCodec spec(model);
-    WindowVaxxCodec span(model);
-    run_span_roundtrip(spec, span, "WindowVaxx", 0x77AEull);
+    WindowVaxxCodec batched(model);
+    run_batched_roundtrip(spec, batched, "WindowVaxx", 0x77AEull);
 }
 
-TEST(ArenaRoundTrip, AdaptiveWrapperSpanPathBitIdentical)
+TEST(BatchedRoundTrip, AdaptiveWrapperBatchedPathBitIdentical)
 {
     AdaptiveConfig cfg;
     cfg.n_nodes = 4;
     cfg.window_blocks = 8;
     cfg.off_blocks = 16;
     AdaptiveCodec spec(std::make_unique<FpcCodec>(), cfg);
-    AdaptiveCodec span(std::make_unique<FpcCodec>(), cfg);
-    run_span_roundtrip(spec, span, "Adaptive", 0xADA7ull);
+    AdaptiveCodec batched(std::make_unique<FpcCodec>(), cfg);
+    run_batched_roundtrip(spec, batched, "Adaptive", 0xADA7ull);
     // The bypass machinery must have engaged on both twins identically.
-    EXPECT_EQ(spec.bypassedBlocks(), span.bypassedBlocks());
-}
-
-// ---------------------------------------------------------------------
-// Sharded pipeline arena mode: byte-identical to the serial non-arena
-// reference at any job count, across repeated batches (arena reuse).
-// Runs in the TSan CI job: shard-local arenas must be race-free.
-// ---------------------------------------------------------------------
-
-TEST(ArenaPipeline, ArenaModeMatchesSerialReference)
-{
-    CodecConfig cc;
-    cc.n_nodes = 8;
-    cc.dict.pmt_entries = 8;
-    auto codec_ref = CodecFactory::create(Scheme::DiVaxx, cc);
-    auto codec_arena = CodecFactory::create(Scheme::DiVaxx, cc);
-
-    harness::ShardedCodecPipeline serial(*codec_ref, 1);
-    harness::ShardedCodecPipeline sharded(*codec_arena, 4);
-    sharded.setArenaMode(true);
-    ASSERT_TRUE(sharded.arenaMode());
-
-    Rng rng(0xB0ull);
-    std::vector<Word> hot;
-    for (int i = 0; i < 8; ++i)
-        hot.push_back(static_cast<Word>(rng.range(500, 5000000)));
-
-    Cycle now = 0;
-    for (int batch = 0; batch < 12; ++batch) {
-        std::vector<DataBlock> blocks;
-        for (int i = 0; i < 48; ++i)
-            blocks.push_back(make_block(rng, hot));
-        std::vector<harness::EncodeRequest> reqs;
-        for (int i = 0; i < 48; ++i) {
-            NodeId src = static_cast<NodeId>(rng.next(4));
-            NodeId dst = static_cast<NodeId>(4 + rng.next(4));
-            reqs.push_back(
-                harness::EncodeRequest{&blocks[i], src, dst, now});
-        }
-
-        auto enc_ref = serial.encodeAll(reqs);
-        auto enc_arena = sharded.encodeAll(reqs);
-        ASSERT_EQ(enc_ref.size(), enc_arena.size());
-        for (std::size_t i = 0; i < enc_ref.size(); ++i)
-            ASSERT_NO_FATAL_FAILURE(expect_same_stream(
-                enc_ref[i], enc_arena[i], "pipeline", batch * 100 + i));
-
-        std::vector<harness::DecodeRequest> dec;
-        for (std::size_t i = 0; i < reqs.size(); ++i)
-            dec.push_back(harness::DecodeRequest{&enc_ref[i], reqs[i].src,
-                                                 reqs[i].dst, reqs[i].now});
-        auto dec_ref = serial.decodeAll(dec);
-
-        std::vector<harness::DecodeRequest> dec_a;
-        for (std::size_t i = 0; i < reqs.size(); ++i)
-            dec_a.push_back(harness::DecodeRequest{&enc_arena[i], reqs[i].src,
-                                                   reqs[i].dst, reqs[i].now});
-        auto spans = sharded.decodeAllSpans(dec_a);
-
-        ASSERT_EQ(dec_ref.size(), spans.size());
-        for (std::size_t i = 0; i < spans.size(); ++i) {
-            ASSERT_EQ(dec_ref[i].size(), spans[i].size) << "block " << i;
-            for (std::size_t w = 0; w < spans[i].size; ++w)
-                ASSERT_EQ(dec_ref[i].word(w), spans[i].word(w))
-                    << "block " << i << " word " << w;
-        }
-        now += 51;
-    }
-    // The arenas were provisioned and retained across batches.
-    EXPECT_GT(sharded.encoder().arenaShards(), 0u);
-    EXPECT_GT(sharded.encoder().arenaBytesReserved(), 0u);
-    EXPECT_GT(sharded.decoder().arenaShards(), 0u);
-    EXPECT_EQ(codec_ref->consistencyMismatches(),
-              codec_arena->consistencyMismatches());
+    EXPECT_EQ(spec.bypassedBlocks(), batched.bypassedBlocks());
 }
 
 // ---------------------------------------------------------------------

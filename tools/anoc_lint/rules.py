@@ -196,7 +196,9 @@ def check_c1(sf: SourceFile) -> list[Finding]:
 
 _DEPRECATED_INCLUDES = {
     "harness/flow_sharded_encoder.h":
-        "removed compat shim; include harness/sharded_codec_pipeline.h",
+        "removed compat shim, and the sharded codec pipeline it forwarded "
+        "to is gone too; code blocks through CodecSystem::encodeBlock/"
+        "decodeBlock (compression/codec.h)",
 }
 
 _SEARCH_RE = re.compile(
@@ -214,9 +216,9 @@ def check_c2(sf: SourceFile, tree: Tree) -> list[Finding]:
     if sf.path.endswith("flow_sharded_encoder.h"):
         out.append(Finding(
             "C2", sf.path, 1,
-            "harness/flow_sharded_encoder.h was removed (PR 6 compat "
-            "shim); FlowShardedEncoder lives in "
-            "harness/sharded_codec_pipeline.h"))
+            "harness/flow_sharded_encoder.h was removed (compat shim "
+            "for the deleted sharded codec pipeline); code blocks "
+            "through CodecSystem::encodeBlock/decodeBlock"))
     for inc in sf.includes:
         hint = _DEPRECATED_INCLUDES.get(inc.target)
         if hint:
