@@ -5,8 +5,9 @@
  * the counter carries no synchronization, only a sum — which is all
  * the activity/telemetry counters need, because addition commutes, so
  * the final value is independent of thread interleaving. This is what
- * makes decodes in parallel regions (region-parallel stepping)
- * produce stats byte-identical to the serial path.
+ * lets concurrent decodes (the destination-isolation contract,
+ * compression/codec.h) produce stats byte-identical to the serial
+ * path.
  *
  * Copy and assignment transfer the current value, so classes holding
  * one (Cam, Tcam, Avcl, the codecs) stay copyable/movable and can live

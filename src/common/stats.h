@@ -16,10 +16,10 @@ namespace approxnoc {
 
 /**
  * Monotonic event counter. Increments are relaxed-atomic so codecs
- * bound to one set of telemetry counters can record from decodes in
- * concurrent simulator regions: addition commutes, so the total is
- * independent of thread interleaving and the dumped stats stay
- * byte-identical to a serial run.
+ * bound to one set of telemetry counters can record from concurrent
+ * decodes: addition commutes, so the total is independent of thread
+ * interleaving and the dumped stats stay byte-identical to a serial
+ * run.
  */
 class Counter
 {

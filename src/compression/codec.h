@@ -105,16 +105,17 @@ struct CodecCounters {
  * decoder's learning state even when their @p src differ — and
  * (b) phase-separate encodes from decodes: an encode drains the
  * pending-update channels decodes append to, so the two sides must
- * not overlap in time. Region-parallel stepping
- * (sim/region_scheduler.h) relies on this contract: each NI decodes
- * at ejection inside its region's parallel phase, only as its own
- * destination, so (a) holds because a node belongs to one region;
- * encodes and notification drains run only in serial context between
- * the parallel phases, so (b) holds.
+ * not overlap in time.
  *
  * Every notification a decoder emits carries a per-destination
  * monotonic sequence number, so drainNotifications(dst) streams are
- * reproducible at any region count.
+ * reproducible whatever the interleaving of decodes.
+ *
+ * No code in the tree calls a codec concurrently: the simulator steps
+ * every NI on one thread, and parallel sweeps give each point its own
+ * codec. Only the isolation and concurrency tests exercise these two
+ * contracts, and deleting them (with their annotations) is the next
+ * simplification on ROADMAP.
  */
 class CodecSystem
 {
@@ -195,7 +196,7 @@ class CodecSystem
          * notification decoder @c from ever emitted. Strictly
          * increasing within one drainNotifications(dst) stream (and
          * across successive drains of the same @c dst), independent
-         * of the region count — the ordering witness of the
+         * of the decode interleaving — the ordering witness of the
          * destination-isolation contract.
          */
         std::uint64_t seq = 0;
@@ -331,8 +332,8 @@ class CodecSystem
 
     /** Relaxed-atomic: bookkeeping shared by every source (encode
      * side) and every destination (decode side). Sums commute, so
-     * decodes running in parallel regions produce the same totals as
-     * a serial run (see the isolation contracts above). */
+     * concurrent decodes produce the same totals as a serial run (see
+     * the isolation contracts above). */
     ANOC_CROSS_SHARD(RelaxedCounter) RelaxedCounter mismatches_;
     ANOC_CROSS_SHARD(RelaxedCounter) RelaxedCounter words_encoded_;
     ANOC_CROSS_SHARD(RelaxedCounter) RelaxedCounter words_decoded_;

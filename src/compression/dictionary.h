@@ -70,8 +70,7 @@ enum class DiWordKind : std::uint8_t {
  * path. Subclasses own the encoder-side structures.
  *
  * State isolation (the CodecSystem flow-isolation and
- * destination-isolation contracts, which region-parallel stepping
- * relies on):
+ * destination-isolation contracts):
  * encode()/encodeBlock() for source s touches only the subclass's
  * encoders_[s] (PMT, replacement metadata, per-destination index
  * views) and pending_[s] (the update channels applyPending merges)
@@ -167,7 +166,7 @@ class DictionaryCodecBase : public CodecSystem
      * channel whose head is not yet due blocks only itself. The merge
      * is a pure function of the channel contents, which are each
      * owned by one destination — so the encoder sees the same update
-     * sequence at any region count.
+     * sequence whatever the decode interleaving.
      */
     void applyPending(NodeId enc, Cycle now);
 

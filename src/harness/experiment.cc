@@ -131,13 +131,6 @@ ExperimentSpec::Builder::jobs(unsigned n)
 }
 
 ExperimentSpec::Builder &
-ExperimentSpec::Builder::simJobs(unsigned n)
-{
-    cfg_.sim_jobs = n;
-    return *this;
-}
-
-ExperimentSpec::Builder &
 ExperimentSpec::Builder::seed(std::uint64_t s)
 {
     cfg_.base_seed = s;
@@ -245,8 +238,6 @@ ExperimentSpec::Builder::fromCli(int argc, char **argv, const std::string &what)
             "  --cycles=<n>                      synthetic run length (50000)\n"
             "  --scale=<n>                       workload size multiplier (1)\n"
             "  --jobs=<n>                        worker threads, 0=auto (1)\n"
-            "  --sim-jobs=<n>                    region-parallel sim threads\n"
-            "                                    per point, 0=auto (1)\n"
             "  --seed=<n>                        experiment base seed\n"
             "  --csv-dir=<dir>                   CSV output dir (results)\n"
             "  --json-dir=<dir>                  JSON output dir (csv-dir)\n"
@@ -259,6 +250,11 @@ ExperimentSpec::Builder::fromCli(int argc, char **argv, const std::string &what)
             what.c_str());
         std::exit(0);
     }
+    args.rejectUnknown({"benchmarks", "schemes", "threshold", "approx-ratio",
+                        "max-records", "load", "cycles", "scale", "jobs",
+                        "seed", "csv-dir", "json-dir", "metrics-out",
+                        "trace-out", "sample-interval", "profile",
+                        "progress", "verbose"});
     benchmarks_ = parse_benchmark_list(args.getString("benchmarks", "all"));
     schemes_ = parse_scheme_list(args.getString("schemes", "all"));
     thresholds_ = {args.getDouble("threshold", 10.0)};
@@ -269,7 +265,6 @@ ExperimentSpec::Builder::fromCli(int argc, char **argv, const std::string &what)
     cfg_.cycles = static_cast<Cycle>(args.getInt("cycles", 50000));
     cfg_.scale = static_cast<unsigned>(args.getInt("scale", 1));
     cfg_.jobs = static_cast<unsigned>(args.getInt("jobs", 1));
-    cfg_.sim_jobs = static_cast<unsigned>(args.getInt("sim-jobs", 1));
     cfg_.base_seed = static_cast<std::uint64_t>(
         args.getInt("seed", static_cast<long>(cfg_.base_seed)));
     cfg_.csv_dir = args.getString("csv-dir", "results");

@@ -4,7 +4,7 @@
  * (benchmark x scheme x threshold x approx-ratio x load) grid plus the
  * shared run configuration; its fluent Builder parses the common CLI
  * flags every harness binary accepts (including --jobs, --seed and
- * --json-dir). An Experiment executes the grid on a worker pool, one
+ * --json-dir). An Experiment executes the grid on worker threads, one
  * isolated Simulator + Network + CodecSystem per point, with
  * deterministic per-point seeds — `--jobs=1` and `--jobs=N` produce
  * bit-identical result tables.
@@ -32,11 +32,6 @@ struct ExperimentConfig {
     Cycle cycles = 50000;            ///< synthetic run length
     unsigned scale = 1;              ///< workload problem-size multiplier
     unsigned jobs = 1;               ///< worker threads (0 = hardware)
-    /** Region-parallel simulator threads per point (0 = hardware,
-     *  1 = serial stepping). Orthogonal to `jobs`: `jobs` fans grid
-     *  points out, `sim_jobs` parallelizes inside one simulation —
-     *  results stay byte-identical either way. */
-    unsigned sim_jobs = 1;
     std::uint64_t base_seed = 0xA9C0FFEEull; ///< per-point seed root
     std::string csv_dir = "results";
     std::string json_dir; ///< empty = alongside the CSV in csv_dir
@@ -98,7 +93,6 @@ class ExperimentSpec
         Builder &load(double v);
 
         Builder &jobs(unsigned n);
-        Builder &simJobs(unsigned n);
         Builder &seed(std::uint64_t s);
         Builder &maxRecords(std::size_t n);
         Builder &cycles(Cycle n);
@@ -119,10 +113,11 @@ class ExperimentSpec
          * Parse the shared harness flags (--benchmarks, --schemes,
          * --threshold, --approx-ratio, --load, --max-records,
          * --cycles, --scale, --jobs, --seed, --csv-dir, --json-dir,
-         * --metrics-out, --trace-out, --sample-interval, --progress,
-         * --verbose). Prints @p what and the flag list on --help,
-         * then exits. Dimension calls made after fromCli() override
-         * the CLI values.
+         * --metrics-out, --trace-out, --sample-interval, --profile,
+         * --progress, --verbose). Prints @p what and the flag list on
+         * --help, then exits; any other flag or a positional argument
+         * is a fatal error (exit 1) naming it. Dimension calls made
+         * after fromCli() override the CLI values.
          */
         Builder &fromCli(int argc, char **argv, const std::string &what);
 

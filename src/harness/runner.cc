@@ -1,5 +1,6 @@
 #include "harness/runner.h"
 
+#include <algorithm>
 #include <atomic>
 #include <exception>
 #include <mutex>
@@ -42,9 +43,8 @@ ExperimentRunner::run(std::size_t n, const std::function<void(std::size_t)> &fn)
     std::atomic<std::size_t> done{0};
     std::mutex progress_mtx;
 
-    // The WorkerPool contract forbids throwing tasks, so exception
-    // capture into JobStatus lives in this wrapper — job i's status
-    // lands at index i regardless of which lane ran it.
+    // Exception capture into JobStatus lives in this wrapper: job i's
+    // status lands at index i regardless of which lane ran it.
     auto task = [&](std::size_t i) {
         try {
             fn(i);
@@ -62,14 +62,23 @@ ExperimentRunner::run(std::size_t n, const std::function<void(std::size_t)> &fn)
         }
     };
 
-    if (jobs_ <= 1) {
-        for (std::size_t i = 0; i < n; ++i)
+    // Every lane, the caller included, claims the next unclaimed index
+    // until none is left, so a slow point never idles the other lanes.
+    std::atomic<std::size_t> next{0};
+    auto lane = [&] {
+        for (std::size_t i = next++; i < n; i = next++)
             task(i);
-        return statuses;
-    }
-    if (!pool_)
-        pool_ = std::make_unique<WorkerPool>(jobs_);
-    pool_->parallelFor(n, task);
+    };
+    // The threads live for this batch only and are joined before
+    // returning, so no state survives from one batch to the next.
+    const std::size_t lanes = std::min<std::size_t>(jobs_, n);
+    std::vector<std::thread> workers;
+    workers.reserve(lanes - 1);
+    for (std::size_t k = 1; k < lanes; ++k)
+        workers.emplace_back(lane);
+    lane();
+    for (std::thread &w : workers)
+        w.join();
     return statuses;
 }
 

@@ -1,10 +1,10 @@
 /**
  * @file
- * Parallel experiment execution: a small self-scheduling thread pool
- * that fans a list of independent jobs out over worker threads. Each
- * idle worker steals the next unclaimed job index from a shared
- * counter, so load imbalance between points (saturated vs idle
- * networks, large vs small traces) never leaves a core idle.
+ * Parallel experiment execution: each batch of independent jobs fans
+ * out over up to `jobs` threads (the caller included). Each idle
+ * thread claims the next unclaimed job index from a shared counter,
+ * so load imbalance between points (saturated vs idle networks, large
+ * vs small traces) never leaves a core idle.
  *
  * Results are always delivered indexed by job position, so output is
  * bit-identical regardless of the worker count or completion order —
@@ -15,12 +15,9 @@
 
 #include <cstdint>
 #include <functional>
-#include <memory>
 #include <string>
 #include <type_traits>
 #include <vector>
-
-#include "common/worker_pool.h"
 
 namespace approxnoc::harness {
 
@@ -42,8 +39,9 @@ using ProgressFn = std::function<void(std::size_t, std::size_t)>;
 
 /**
  * Executes batches of independent jobs over a fixed worker count.
- * `jobs == 0` selects the hardware concurrency; `jobs == 1` runs
- * inline on the calling thread (no threads spawned).
+ * `jobs == 0` selects the hardware concurrency. A batch of n jobs
+ * starts `min(jobs, n) - 1` threads and joins them before returning,
+ * so `jobs == 1` runs inline on the calling thread.
  */
 class ExperimentRunner
 {
@@ -82,9 +80,6 @@ class ExperimentRunner
   private:
     unsigned jobs_;
     ProgressFn progress_;
-    /** Lazily-created persistent pool shared across run() calls, so a
-     *  sweep that maps many batches pays thread spawn once. */
-    std::unique_ptr<WorkerPool> pool_;
 };
 
 /** `jobs == 0` -> hardware concurrency (at least 1). */

@@ -1,7 +1,6 @@
 #include "noc/network_interface.h"
 
 #include "common/log.h"
-#include "sim/region_scheduler.h"
 #include "telemetry/phase_profiler.h"
 
 namespace approxnoc {
@@ -26,16 +25,6 @@ void
 NetworkInterface::enqueue(const PacketPtr &pkt, Cycle now)
 {
     pkt->created = now;
-#ifndef NDEBUG
-    // Isolation contract: encoder state is cross-region shared (an
-    // encode at src touches per-(src,dst) channels whose dst is
-    // anywhere), so injection must come from serial context — traffic
-    // generators, notification injection, or the post-advance
-    // delivery replay — never from inside a parallel phase.
-    ANOC_ASSERT(sim_current_region() < 0,
-                "NI enqueue from inside a parallel region phase at node ",
-                id_);
-#endif
     Cycle ready = now;
     if (pkt->carries_block) {
         // Flow-isolation contract (compression/codec.h): this NI is
@@ -62,11 +51,6 @@ NetworkInterface::creditReturn(unsigned, unsigned vc)
 {
     ANOC_ASSERT(vc < cfg_.vcs, "credit return vc out of range");
     ANOC_ASSERT(credits_[vc] < cfg_.vc_depth, "NI credit overflow");
-#ifndef NDEBUG
-    ANOC_ASSERT(sim_current_region() < 0 ||
-                    sim_current_region() == regionTag(),
-                "cross-region creditReturn at NI ", id_);
-#endif
     ++credits_[vc];
 }
 
@@ -140,11 +124,6 @@ NetworkInterface::advance(Cycle now)
 void
 NetworkInterface::acceptEjectedFlit(const Flit &f, Cycle now)
 {
-#ifndef NDEBUG
-    ANOC_ASSERT(sim_current_region() < 0 ||
-                    sim_current_region() == regionTag(),
-                "cross-region ejection at NI ", id_);
-#endif
     const PacketPtr &pkt = f.pkt;
     ++pkt->ejected_flits;
     if (pkt->ejected_flits < pkt->n_flits)

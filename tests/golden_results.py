@@ -2,9 +2,11 @@
 """Golden-results check: the fast figure tables must regenerate byte for byte.
 
 Runs each figure harness at --jobs=4 into a temporary directory and
-compares every CSV it writes with the checked-in copy under results/.
-Any difference (or a harness failure) is a test failure, with a
-unified diff of the first differing lines.
+compares the CSV it writes (plus any image listed in EXTRA_FILES) with
+the checked-in copy under results/. Any difference (or a harness
+failure) is a test failure, with a unified diff of the first differing
+lines of a CSV. fig12_throughput also matches but takes about 35 s, so
+it is left out of this check.
 
     golden_results.py <bench-binary-dir> <results-dir>
 """
@@ -23,7 +25,17 @@ FIGURES = (
     "fig14_approx_ratio",
     "fig15_power",
     "ablation_codec",
+    "ablation_flit_width",
+    "ablation_pmt_size",
+    "area_overhead",
+    "closed_loop_latency",
+    "fig16_app_output",
+    "fig17_bodytrack",
 )
+# Binary artifacts a harness writes next to its CSV.
+EXTRA_FILES = {
+    "fig17_bodytrack": ("fig17_precise.pgm", "fig17_approx.pgm"),
+}
 MAX_DIFF_LINES = 20
 
 
@@ -34,15 +46,24 @@ def check(bench_dir, results_dir, out_dir, name):
                           text=True)
     if proc.returncode != 0:
         return [f"{name}: exit {proc.returncode}\n{proc.stderr}"]
+    failures = []
     got = (out_dir / f"{name}.csv").read_bytes()
     want = (results_dir / f"{name}.csv").read_bytes()
-    if got == want:
-        return []
-    diff = difflib.unified_diff(
-        want.decode().splitlines(), got.decode().splitlines(),
-        fromfile=f"results/{name}.csv", tofile="regenerated", lineterm="")
-    return [f"{name}: differs from results/\n" +
-            "\n".join(list(diff)[:MAX_DIFF_LINES])]
+    if got != want:
+        diff = difflib.unified_diff(
+            want.decode().splitlines(), got.decode().splitlines(),
+            fromfile=f"results/{name}.csv", tofile="regenerated",
+            lineterm="")
+        failures.append(f"{name}: differs from results/\n" +
+                        "\n".join(list(diff)[:MAX_DIFF_LINES]))
+    for extra in EXTRA_FILES.get(name, ()):
+        got = (out_dir / extra).read_bytes()
+        want = (results_dir / extra).read_bytes()
+        if got != want:
+            failures.append(f"{name}: results/{extra} differs "
+                            f"({len(want)} B checked in, {len(got)} B "
+                            f"regenerated)")
+    return failures
 
 
 def main():

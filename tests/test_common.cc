@@ -1,15 +1,11 @@
-/** Tests for stats, table, CLI parsing, DataBlock, quality and the pool. */
-#include <atomic>
-#include <chrono>
+/** Tests for stats, table, CLI parsing, DataBlock and quality. */
 #include <sstream>
-#include <thread>
 #include <gtest/gtest.h>
 
 #include "common/cli.h"
 #include "common/data_block.h"
 #include "common/stats.h"
 #include "common/table.h"
-#include "common/worker_pool.h"
 #include "core/quality.h"
 
 using namespace approxnoc;
@@ -199,33 +195,4 @@ TEST(Quality, TracksFractionsAndRatio)
     EXPECT_NEAR(q.meanRelativeError(), 0.05 / 4.0, 1e-12);
     EXPECT_NEAR(q.compressionRatio(), 128.0 / 56.0, 1e-12);
     EXPECT_GT(q.dataQuality(), 0.98);
-}
-
-TEST(WorkerPool, FreshPoolRunsTasksConcurrently)
-{
-    // A rendezvous: each of n tasks waits until all n have started.
-    // Serial execution can never complete it, so a pool whose workers
-    // miss a batch published right after construction (the one-shot
-    // ExperimentRunner pattern) fails here instead of running slowly.
-    // The wait is bounded, and the first timeout releases every other
-    // task, so a failing run still ends in a few seconds.
-    constexpr unsigned kThreads = 4;
-    constexpr auto kTimeout = std::chrono::seconds(5);
-    for (int round = 0; round < 20; ++round) {
-        WorkerPool pool(kThreads);
-        std::atomic<unsigned> started{0};
-        std::atomic<bool> timed_out{false};
-        pool.parallelFor(kThreads, [&](std::size_t) {
-            started.fetch_add(1);
-            const auto deadline = std::chrono::steady_clock::now() + kTimeout;
-            while (started.load() < kThreads && !timed_out.load()) {
-                if (std::chrono::steady_clock::now() > deadline)
-                    timed_out.store(true);
-                std::this_thread::yield();
-            }
-        });
-        ASSERT_FALSE(timed_out.load())
-            << "round " << round << ": only " << started.load() << " of "
-            << kThreads << " tasks ever ran at once";
-    }
 }

@@ -6,10 +6,12 @@
  * sweep), seed derivation, grid construction and stats merging.
  */
 #include <atomic>
+#include <chrono>
 #include <fstream>
 #include <set>
 #include <sstream>
 #include <stdexcept>
+#include <thread>
 
 #include <gtest/gtest.h>
 
@@ -95,6 +97,56 @@ TEST(Runner, ThrowingJobIsCapturedOthersStillRun)
             EXPECT_TRUE(statuses[i].ok) << i;
         }
     }
+}
+
+TEST(Runner, RunsJobsConcurrently)
+{
+    // A rendezvous: each of n jobs waits until all n have started.
+    // Serial execution can never complete it, so a runner that runs a
+    // batch on fewer lanes than it was given fails here instead of
+    // running slowly. The wait is bounded, and the first timeout
+    // releases every other job, so a failing run still ends in a few
+    // seconds.
+    constexpr unsigned kJobs = 4;
+    constexpr auto kTimeout = std::chrono::seconds(5);
+    for (int round = 0; round < 20; ++round) {
+        ExperimentRunner runner(kJobs);
+        std::atomic<unsigned> started{0};
+        std::atomic<bool> timed_out{false};
+        std::atomic<unsigned> started_at_timeout{0};
+        runner.run(kJobs, [&](std::size_t) {
+            started.fetch_add(1);
+            const auto deadline = std::chrono::steady_clock::now() + kTimeout;
+            while (started.load() < kJobs && !timed_out.load()) {
+                if (std::chrono::steady_clock::now() > deadline) {
+                    started_at_timeout.store(started.load());
+                    timed_out.store(true);
+                }
+                std::this_thread::yield();
+            }
+        });
+        ASSERT_FALSE(timed_out.load())
+            << "round " << round << ": only " << started_at_timeout.load()
+            << " of " << kJobs << " jobs ever ran at once";
+    }
+}
+
+TEST(Spec, FromCliRejectsUnknownFlags)
+{
+    // A misspelt or removed flag must stop the bench, naming the flag,
+    // instead of running the sweep with defaults.
+    const char *argv[] = {"bench", "--jobs=2", "--sim-jobs=4"};
+    EXPECT_EXIT(ExperimentSpec::Builder().fromCli(
+                    3, const_cast<char **>(argv), "test"),
+                ::testing::ExitedWithCode(1), "unknown flag --sim-jobs");
+
+    const char *known[] = {"bench", "--jobs=2", "--benchmarks=swaptions",
+                           "--max-records=300", "--profile"};
+    ExperimentSpec spec = ExperimentSpec::Builder()
+                              .fromCli(5, const_cast<char **>(known), "test")
+                              .build();
+    EXPECT_EQ(spec.config().jobs, 2u);
+    EXPECT_EQ(spec.config().max_records, 300u);
 }
 
 TEST(Spec, GridEnumerationAndSeeds)

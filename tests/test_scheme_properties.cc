@@ -300,8 +300,8 @@ INSTANTIATE_TEST_SUITE_P(DictionarySchemes, FlowIsolation,
 // ---------------------------------------------------------------------------
 // Per-destination notification streams (the destination-isolation
 // contract, compression/codec.h): the stream a decoder emits is a pure
-// function of its decode history, which is what keeps region-parallel
-// stepping byte-identical at any region count.
+// function of its decode history, so concurrent decodes of distinct
+// destinations emit the same streams as a serial run.
 
 namespace {
 

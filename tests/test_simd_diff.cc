@@ -584,7 +584,7 @@ TEST(BatchedRoundTrip, AdaptiveWrapperBatchedPathBitIdentical)
 }
 
 // ---------------------------------------------------------------------
-// Whole-simulator artifact byte-identity across dispatch and jobs.
+// Whole-simulator artifact byte-identity across dispatch.
 // Kept out of the SimdDiff suite so the TSan job does not re-run the
 // subprocesses.
 // ---------------------------------------------------------------------
@@ -603,26 +603,16 @@ TEST(SimdTool, ArtifactsByteIdenticalAcrossSimdAndJobs)
 {
     if (!std::ifstream(APPROXNOC_SIM_TOOL).good())
         GTEST_SKIP() << "approxnoc_sim not built";
-    struct Leg {
-        const char *name;
-        const char *env;
-        const char *jobs;
-    } legs[] = {
-        {"scalar_j1", "scalar", "1"},
-        {"avx2_j1", "avx2", "1"},
-        {"avx2_j4", "avx2", "4"},
-    };
+    const char *legs[] = {"scalar", "avx2"};
     std::vector<std::string> dirs;
-    for (const Leg &l : legs) {
-        const std::string dir =
-            ::testing::TempDir() + "simd_tool_" + l.name;
+    for (const char *leg : legs) {
+        const std::string dir = ::testing::TempDir() + "simd_tool_" + leg;
         // 2>/dev/null also swallows the documented clamp note when the
-        // avx2 legs run on a host without AVX2.
-        std::string cmd = std::string("ANOC_SIMD=") + l.env + " " +
+        // avx2 leg runs on a host without AVX2.
+        std::string cmd = std::string("ANOC_SIMD=") + leg + " " +
                           APPROXNOC_SIM_TOOL +
                           " --scheme=DI-VAXX --cycles=2000 --quiet"
-                          " --metrics-out=" + dir +
-                          " --sim-jobs=" + l.jobs + " > /dev/null 2>&1";
+                          " --metrics-out=" + dir + " > /dev/null 2>&1";
         ASSERT_EQ(std::system(cmd.c_str()), 0) << cmd;
         dirs.push_back(dir);
     }
@@ -631,7 +621,7 @@ TEST(SimdTool, ArtifactsByteIdenticalAcrossSimdAndJobs)
         ASSERT_FALSE(base.empty()) << f;
         for (std::size_t i = 1; i < dirs.size(); ++i)
             EXPECT_EQ(base, slurp_file(dirs[i] + "/" + f))
-                << legs[i].name << "/" << f;
+                << legs[i] << "/" << f;
     }
 }
 #endif

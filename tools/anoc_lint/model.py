@@ -2,8 +2,8 @@
 
 The include graph exists for scope propagation: a header is covered by
 the determinism rules not because of where it sits but because of who
-includes it — common/worker_pool.h is deterministic-path code the
-moment sim/region_scheduler.h pulls it in. Scope is therefore computed
+includes it — common/relaxed_counter.h is deterministic-path code the
+moment compression/codec.h pulls it in. Scope is therefore computed
 as "lives in a scoped directory, or is (transitively) included by a
 file that does".
 """

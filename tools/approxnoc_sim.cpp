@@ -58,8 +58,6 @@ usage()
         "  --trace=<file> [--load=0.04]   (replaces synthetic traffic)\n"
         "  --closed-loop [--window=4 --think=4]\n"
         "  --cycles=100000 --warmup=0 --seed=42\n"
-        "  --sim-jobs=<n>       (region-parallel stepping threads, 0=auto,\n"
-        "                        1=serial; results byte-identical)\n"
         "  --qos-target=<pct>   (enable the online error-control loop)\n"
         "  --compare=<all|s,s>  (one sim per scheme, parallel with --jobs)\n"
         "  --jobs=<n>           (worker threads for --compare, 0=auto)\n"
@@ -233,12 +231,6 @@ run_sim(const CliArgs &args, Scheme scheme, bool dump, bool labeled = false)
         sim.add(qos.get());
     }
 
-    // Region-parallel stepping, enabled after every component joined
-    // the simulator so the traffic/QoS sources land in the serial tail.
-    unsigned sim_jobs = static_cast<unsigned>(args.getInt("sim-jobs", 1));
-    if (sim_jobs != 1)
-        net.enableRegionParallel(sim, sim_jobs);
-
     if (warmup > 0) {
         sim.run(warmup);
         net.stats().reset();
@@ -364,7 +356,7 @@ main(int argc, char **argv)
                         "scheme", "threshold", "approx-ratio", "traffic",
                         "rate", "data-ratio", "type", "trace", "load",
                         "closed-loop", "window", "think", "cycles", "warmup",
-                        "seed", "sim-jobs", "qos-target", "compare", "jobs",
+                        "seed", "qos-target", "compare", "jobs",
                         "metrics-out", "trace-out", "sample-interval",
                         "profile", "quiet"});
     if (args.has("help")) {
