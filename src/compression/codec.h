@@ -208,6 +208,12 @@ class CodecSystem
      * order. Stateless schemes return an empty list. Safe to call
      * concurrently for distinct @p dst (it touches only that
      * decoder's queue), but not concurrently with decodes of @p dst.
+     *
+     * Guarantee: decoder @p dst queues a notification only inside its
+     * own decode()/decodeBlock() (a call with that @p dst), never in
+     * an encode or any other call. The Network relies on it: it
+     * drains only the endpoints that decoded a block in the current
+     * cycle. A scheme that breaks it leaves notifications undrained.
      */
     virtual std::vector<Notification>
     drainNotifications(NodeId dst)

@@ -23,6 +23,12 @@ DictionaryCodecBase::DictionaryCodecBase(const DictionaryConfig &cfg)
     : cfg_(cfg), index_bits_(cfg.indexBits())
 {
     ANOC_ASSERT(cfg.n_nodes > 0, "dictionary codec needs at least one node");
+    // A notification cannot reach the encoder in the cycle it was
+    // issued: its control packet has not left the decoder yet.
+    ANOC_ASSERT(cfg.notify_delay >= 1,
+                "notify_delay must be at least 1 cycle: an update "
+                "notification cannot reach the encoder in the cycle it "
+                "was issued");
     decoders_.reserve(cfg.n_nodes);
     for (std::size_t i = 0; i < cfg.n_nodes; ++i)
         decoders_.emplace_back(cfg);

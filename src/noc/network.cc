@@ -13,6 +13,20 @@ namespace {
 constexpr Cycle kDeadlockWindow = 50000;
 
 /**
+ * Call @p step on every member of @p set in ascending order. With a
+ * profiler bound the whole sweep is timed under @p phase, one call
+ * per component stepped.
+ */
+template <class Fn>
+void
+sweep(ActiveSet &set, telemetry::PhaseProfiler *prof, std::size_t phase,
+      Fn &&step)
+{
+    telemetry::PhaseProfiler::Scope s(prof, phase);
+    s.setCalls(set.forEach(step));
+}
+
+/**
  * Output-port candidates at router @p at toward router @p dest
  * (!= at), in preference order, for the configured routing algorithm.
  */
@@ -94,7 +108,8 @@ NetworkStats::reset()
 Network::Network(const NocConfig &cfg, CodecSystem *codec,
                  bool model_notifications)
     : Clocked("network"), cfg_(cfg), codec_(codec),
-      model_notifications_(model_notifications)
+      model_notifications_(model_notifications),
+      activity_(cfg.routers(), cfg.nodes())
 {
     ANOC_ASSERT(codec != nullptr, "Network requires a codec");
     ANOC_ASSERT(cfg_.routing != RoutingAlgo::WestFirst ||
@@ -109,7 +124,8 @@ Network::Network(const NocConfig &cfg, CodecSystem *codec,
         for (RouterId d = 0; d < cfg_.routers(); ++d)
             if (d != r)
                 routes[d] = route_to(cfg_, r, d);
-        routers_.push_back(std::make_unique<Router>(r, cfg_, std::move(routes)));
+        routers_.push_back(std::make_unique<Router>(r, cfg_, std::move(routes),
+                                                    activity_));
     }
 
     // Mesh links: both directions of every edge.
@@ -165,7 +181,8 @@ Network::Network(const NocConfig &cfg, CodecSystem *codec,
     // NIs: one per endpoint, on its router's local port.
     nis_.reserve(cfg_.nodes());
     for (NodeId n = 0; n < cfg_.nodes(); ++n) {
-        auto ni = std::make_unique<NetworkInterface>(n, cfg_, codec_);
+        auto ni =
+            std::make_unique<NetworkInterface>(n, cfg_, codec_, activity_);
         RouterId r = cfg_.routerOf(n);
         unsigned port = kLocalBase + cfg_.localPortOf(n);
         ni->connectInjection(routers_[r].get(), port);
@@ -180,10 +197,8 @@ Network::Network(const NocConfig &cfg, CodecSystem *codec,
 void
 Network::attach(Simulator &sim)
 {
-    for (auto &ni : nis_)
-        sim.add(ni.get());
     for (auto &r : routers_)
-        sim.add(r.get());
+        r->setEpoch(sim.now());
     sim.add(this);
 }
 
@@ -373,6 +388,11 @@ Network::bindErrorProfile(telemetry::ErrorProfile *qor)
 void
 Network::bindProfiler(telemetry::PhaseProfiler *prof)
 {
+    profiler_ = prof;
+    if (profiler_) {
+        ph_router_ = profiler_->definePhase("sim.router");
+        ph_ni_ = profiler_->definePhase("sim.ni");
+    }
     codec_->bindProfiler(prof);
     for (auto &ni : nis_)
         ni->bindProfiler(prof);
@@ -544,42 +564,51 @@ Network::dumpStats(std::ostream &os, Cycle elapsed) const
 bool
 Network::drained() const
 {
-    if (routerOccupancy() != 0)
-        return false;
-    for (const auto &ni : nis_)
-        if (!ni->idle())
-            return false;
-    return true;
+    return !activity_.routers.any() && !activity_.nis.any();
 }
 
 void
-Network::evaluate(Cycle)
+Network::evaluate(Cycle now)
 {
+    sweep(activity_.nis, profiler_, ph_ni_,
+          [&](std::size_t n) { nis_[n]->evaluate(now); });
+    sweep(activity_.routers, profiler_, ph_router_,
+          [&](std::size_t r) { routers_[r]->evaluate(now); });
 }
 
 void
 Network::advance(Cycle now)
 {
+    sweep(activity_.nis, profiler_, ph_ni_,
+          [&](std::size_t n) { nis_[n]->advance(now); });
+    sweep(activity_.routers, profiler_, ph_router_,
+          [&](std::size_t r) { routers_[r]->advance(now); });
+
     // Inject dictionary update notifications as control packets, one
     // decoder endpoint at a time (the per-destination drain API; each
     // stream arrives in seq order, so the injection order at any one
-    // NI matches the order its decoder emitted).
-    for (NodeId d = 0; d < static_cast<NodeId>(nis_.size()); ++d) {
-        for (const auto &n : codec_->drainNotifications(d)) {
+    // NI matches the order its decoder emitted). A decoder queues
+    // notifications only inside its own decode (compression/codec.h),
+    // and decodes happen only in the router sweep above, so draining
+    // just this cycle's decoding endpoints, in ascending order, sees
+    // every notification in the order a sweep over all endpoints would.
+    activity_.decoded.forEach([&](std::size_t d) {
+        for (const auto &n :
+             codec_->drainNotifications(static_cast<NodeId>(d))) {
             if (!model_notifications_ || n.from == n.to)
                 continue;
             auto p = makeControlPacket(n.from, n.to);
             stats_.notification_packets.inc();
             nis_[n.from]->enqueue(p, now);
         }
-    }
+    });
+    activity_.decoded.clearAll();
 
     // Deadlock watchdog: flits buffered but nothing moved for a while.
-    std::uint64_t progress = routerFlitsForwarded() + flitsInjected();
-    if (progress != last_progress_count_) {
-        last_progress_count_ = progress;
+    if (activity_.flit_moves != last_progress_count_) {
+        last_progress_count_ = activity_.flit_moves;
         last_progress_cycle_ = now;
-    } else if (routerOccupancy() > 0 &&
+    } else if (activity_.routers.any() &&
                now - last_progress_cycle_ > kDeadlockWindow) {
         ANOC_PANIC("network deadlock: no flit movement for ",
                    kDeadlockWindow, " cycles with ", routerOccupancy(),

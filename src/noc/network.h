@@ -3,6 +3,11 @@
  * The assembled NoC: a (concentrated) 2D mesh of routers with one NI
  * per endpoint, XY routing, the codec plugged into every NI, and
  * network-wide statistics (latency breakdown, flit counts, quality).
+ *
+ * The network is the only Clocked component of the NoC. Each phase
+ * steps the NIs that hold work, then the routers that hold flits,
+ * both in ascending index order (see noc/active_set.h); idle routers
+ * and NIs cost nothing.
  */
 #ifndef APPROXNOC_NOC_NETWORK_H
 #define APPROXNOC_NOC_NETWORK_H
@@ -15,6 +20,7 @@
 #include "common/types.h"
 #include "compression/codec.h"
 #include "core/quality.h"
+#include "noc/active_set.h"
 #include "noc/network_interface.h"
 #include "noc/noc_config.h"
 #include "noc/packet.h"
@@ -59,7 +65,10 @@ class Network : public Clocked
     Network(const NocConfig &cfg, CodecSystem *codec,
             bool model_notifications = true);
 
-    /** Register every component with @p sim. Call once. */
+    /**
+     * Register the network with @p sim; it steps its own routers and
+     * NIs. Call once, before the first step.
+     */
     void attach(Simulator &sim);
 
     const NocConfig &config() const { return cfg_; }
@@ -100,8 +109,17 @@ class Network : public Clocked
     std::uint64_t routerLinkTraversals() const;
     std::uint64_t routerFlitsForwarded() const;
 
-    /** True when no packet is queued, in flight or unreassembled. */
+    /**
+     * True when no packet is queued or in flight: no router holds a
+     * flit and every NI is idle. Reads the active sets, so O(routers /
+     * 64 + nodes / 64).
+     */
     bool drained() const;
+
+    /** Whether router @p r is in the active set (holds a flit). */
+    bool routerActive(RouterId r) const { return activity_.routers.test(r); }
+    /** Whether NI @p n is in the active set (is not idle). */
+    bool niActive(NodeId n) const { return activity_.nis.test(n); }
 
     /**
      * Full simulation report: end-to-end latencies (with p50/p99),
@@ -110,7 +128,13 @@ class Network : public Clocked
      */
     void dumpStats(std::ostream &os, Cycle elapsed) const;
 
+    /** Evaluate the active NIs, then the active routers. */
     void evaluate(Cycle now) override;
+    /**
+     * Advance the active NIs, then the active routers; then inject the
+     * dictionary notifications of every endpoint that decoded a block
+     * this cycle, and run the deadlock watchdog.
+     */
     void advance(Cycle now) override;
 
     /**
@@ -131,9 +155,11 @@ class Network : public Clocked
     void bindErrorProfile(telemetry::ErrorProfile *qor);
 
     /**
-     * Attach the self-profiler: forwarded to the codec
-     * ("codec.apply_pending") and every NI ("ni.encode"/"ni.decode").
-     * The Simulator's own bindProfiler covers the `sim.*` phases.
+     * Attach the self-profiler: the network times its NI and router
+     * sweeps as "sim.ni" and "sim.router" (nested inside the
+     * Simulator's "sim.network"), and forwards the profiler to the
+     * codec ("codec.apply_pending") and every NI
+     * ("ni.encode"/"ni.decode"). Null detaches.
      */
     void bindProfiler(telemetry::PhaseProfiler *prof);
 
@@ -151,6 +177,8 @@ class Network : public Clocked
     CodecSystem *codec_;
     bool model_notifications_;
 
+    /** Written by the routers and NIs; declared before them. */
+    NocActivity activity_;
     std::vector<std::unique_ptr<Router>> routers_;
     std::vector<std::unique_ptr<NetworkInterface>> nis_;
 
@@ -162,10 +190,14 @@ class Network : public Clocked
     Histogram *err_hist_ = nullptr;
     /** QoR profile, null unless bound (see bindErrorProfile). */
     telemetry::ErrorProfile *qor_ = nullptr;
+    /** Self-profiler, null unless bound (see bindProfiler). */
+    telemetry::PhaseProfiler *profiler_ = nullptr;
+    std::size_t ph_router_ = 0;
+    std::size_t ph_ni_ = 0;
 
     std::uint64_t next_packet_id_ = 1;
 
-    /** Deadlock watchdog. */
+    /** Deadlock watchdog: activity_.flit_moves at the last change. */
     std::uint64_t last_progress_count_ = 0;
     Cycle last_progress_cycle_ = 0;
 };

@@ -1,13 +1,15 @@
 #include "noc/network_interface.h"
 
+#include <utility>
+
 #include "common/log.h"
 #include "telemetry/phase_profiler.h"
 
 namespace approxnoc {
 
 NetworkInterface::NetworkInterface(NodeId id, const NocConfig &cfg,
-                                   CodecSystem *codec)
-    : Clocked("ni" + std::to_string(id)), id_(id), cfg_(cfg), codec_(codec),
+                                   CodecSystem *codec, NocActivity &activity)
+    : id_(id), cfg_(cfg), codec_(codec), activity_(activity),
       vc_busy_(cfg.vcs, false), credits_(cfg.vcs, cfg.vc_depth)
 {
     ANOC_ASSERT(codec != nullptr, "NI requires a codec (use BaselineCodec)");
@@ -44,6 +46,7 @@ NetworkInterface::enqueue(const PacketPtr &pkt, Cycle now)
         pkt->n_flits = 1;
     }
     inj_q_.push_back(QueuedPacket{pkt, ready});
+    activity_.nis.set(id_);
 }
 
 void
@@ -57,9 +60,7 @@ NetworkInterface::creditReturn(unsigned, unsigned vc)
 void
 NetworkInterface::evaluate(Cycle now)
 {
-    send_this_cycle_ = false;
-    if (idle())
-        return;
+    ANOC_ASSERT(!idle(), "NI ", id_, " stepped while idle");
     if (!current_) {
         if (inj_q_.front().ready > now)
             return;
@@ -84,7 +85,7 @@ NetworkInterface::evaluate(Cycle now)
 void
 NetworkInterface::advance(Cycle now)
 {
-    if (!send_this_cycle_)
+    if (!std::exchange(send_this_cycle_, false))
         return;
     ANOC_ASSERT(current_ && router_, "NI advance without packet or router");
     unsigned vc = static_cast<unsigned>(alloc_vc_);
@@ -99,6 +100,7 @@ NetworkInterface::advance(Cycle now)
     --credits_[vc];
     router_->acceptFlit(router_port_, vc, std::move(f));
     ++flits_injected_;
+    ++activity_.flit_moves;
     if (current_->cls == PacketClass::Data)
         ++data_flits_injected_;
 
@@ -118,6 +120,9 @@ NetworkInterface::advance(Cycle now)
         current_.reset();
         next_seq_ = 0;
         alloc_vc_ = -1;
+        // Only a tail flit can leave the NI idle.
+        if (idle())
+            activity_.nis.clear(id_);
     }
 }
 
@@ -146,6 +151,7 @@ NetworkInterface::acceptEjectedFlit(const Flit &f, Cycle now)
                     "decode at a foreign NI violates destination isolation");
         telemetry::PhaseProfiler::Scope prof(profiler_, ph_decode_);
         pkt->delivered = codec_->decodeBlock(pkt->enc, pkt->src, pkt->dst, now);
+        activity_.decoded.set(id_);
         pkt->decode_done = now + codec_->decompressionLatency();
     } else {
         pkt->decode_done = now;

@@ -9,6 +9,10 @@
  * for injection compressionLatency() cycles after enqueue, so the
  * overhead is hidden whenever packets are already waiting (paper
  * Sec. 4.3's optimization).
+ *
+ * The NI is not a Clocked component: its Network steps it only while
+ * it is not idle(). enqueue() sets the NI's bit in the network's
+ * active set and advance() clears it once the NI is idle again.
  */
 #ifndef APPROXNOC_NOC_NETWORK_INTERFACE_H
 #define APPROXNOC_NOC_NETWORK_INTERFACE_H
@@ -18,21 +22,28 @@
 
 #include "common/types.h"
 #include "compression/codec.h"
+#include "noc/active_set.h"
 #include "noc/noc_config.h"
 #include "noc/packet.h"
 #include "noc/router.h"
-#include "sim/clocked.h"
 #include "telemetry/packet_tracer.h"
 
 namespace approxnoc {
 
 /** One node's NI. */
-class NetworkInterface : public Clocked, public FlitSource
+class NetworkInterface : public FlitSource
 {
   public:
     using DeliveryFn = std::function<void(const PacketPtr &, Cycle)>;
 
-    NetworkInterface(NodeId id, const NocConfig &cfg, CodecSystem *codec);
+    /**
+     * @param activity the owning network's work-tracking state; the NI
+     *        keeps its bit in activity.nis equal to !idle(), marks its
+     *        endpoint in activity.decoded when it decodes a block, and
+     *        counts its injected flits.
+     */
+    NetworkInterface(NodeId id, const NocConfig &cfg, CodecSystem *codec,
+                     NocActivity &activity);
 
     NodeId nodeId() const { return id_; }
 
@@ -54,8 +65,12 @@ class NetworkInterface : public Clocked, public FlitSource
 
     void creditReturn(unsigned out_port, unsigned vc) override;
 
-    void evaluate(Cycle now) override;
-    void advance(Cycle now) override;
+    /** Phase 1: pick the packet and VC to send on. Only called while
+     * the NI is not idle. */
+    void evaluate(Cycle now);
+    /** Phase 2: inject the flit evaluate() chose, if any; clears the
+     * NI's active bit when it is left idle. */
+    void advance(Cycle now);
 
     /** True when nothing is queued or in flight at this NI. */
     bool idle() const;
@@ -95,6 +110,7 @@ class NetworkInterface : public Clocked, public FlitSource
     NocConfig cfg_;
     /** The codec is shared by every NI of the network. */
     CodecSystem *codec_;
+    NocActivity &activity_;
     Router *router_ = nullptr;
     unsigned router_port_ = 0;
 
@@ -106,7 +122,10 @@ class NetworkInterface : public Clocked, public FlitSource
     int alloc_vc_ = -1;       ///< VC allocated for current_
     std::vector<bool> vc_busy_;
     std::vector<unsigned> credits_;
-    bool send_this_cycle_ = false; ///< evaluate() decision
+    /** evaluate() decision; advance() clears it when it reads it, so
+     * an NI woken after the evaluate sweep never sends on a flag left
+     * from an earlier cycle. */
+    bool send_this_cycle_ = false;
 
     DeliveryFn on_delivery_;
     telemetry::PacketTracer *tracer_ = nullptr;

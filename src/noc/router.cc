@@ -16,10 +16,10 @@ next_wrapped(unsigned i, unsigned n)
 
 } // namespace
 
-Router::Router(RouterId id, const NocConfig &cfg, std::vector<Route> routes)
-    : Clocked("router" + std::to_string(id)), id_(id), cfg_(cfg),
-      routes_(std::move(routes)),
-      n_ports_(kLocalBase + cfg.concentration)
+Router::Router(RouterId id, const NocConfig &cfg, std::vector<Route> routes,
+               NocActivity &activity)
+    : id_(id), cfg_(cfg), routes_(std::move(routes)),
+      n_ports_(kLocalBase + cfg.concentration), activity_(activity)
 {
     ANOC_ASSERT(routes_.size() == cfg_.routers(),
                 "route table of router ", id_, " has ", routes_.size(),
@@ -144,6 +144,7 @@ Router::acceptFlit(unsigned in_port, unsigned vc, Flit f)
     ++port.count;
     ++buffered_;
     ++buffer_writes_;
+    activity_.routers.set(id_);
 }
 
 void
@@ -160,15 +161,13 @@ Router::creditReturn(unsigned out_port, unsigned vc)
 void
 Router::evaluate(Cycle now)
 {
-    // Wakeup rule: an empty router has nothing to arbitrate (advance()
-    // left every grant clear), and empty input ports are skipped.
-    if (buffered_ == 0)
-        return;
-
+    // The network steps only routers that hold flits; empty input
+    // ports are skipped.
+    ANOC_ASSERT(buffered_ > 0, "router ", id_, " stepped while empty");
     const Cycle pipe = cfg_.router_stages - 1;
     std::size_t unseen = buffered_; // flits in ports not yet visited
 
-    unsigned ip = rr_in_;
+    unsigned ip = static_cast<unsigned>((now - epoch_) % n_ports_);
     for (unsigned ii = 0; ii < n_ports_ && unseen > 0;
          ++ii, ip = next_wrapped(ip, n_ports_)) {
         InPort &port = in_[ip];
@@ -267,6 +266,7 @@ Router::advance(Cycle now)
         --port.count;
         --buffered_;
         ++flits_forwarded_;
+        ++activity_.flit_moves;
 
         // Return the freed buffer slot upstream.
         if (port.up)
@@ -301,7 +301,8 @@ Router::advance(Cycle now)
         }
         rr_vc_[ip] = next_wrapped(vc, cfg_.vcs);
     }
-    rr_in_ = next_wrapped(rr_in_, n_ports_);
+    if (buffered_ == 0)
+        activity_.routers.clear(id_);
 }
 
 } // namespace approxnoc

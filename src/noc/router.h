@@ -10,11 +10,15 @@
  * credit counters and the VC allocation state of the downstream input
  * buffer, which is the conventional arrangement.
  *
- * Wakeup-driven datapath: the router keeps its buffered-flit total and
- * a per-input-port count, so a cycle costs work only for ports that
- * hold flits — an empty router's evaluate() returns at once, and an
- * advance() without grants only rotates the input round-robin. Each
- * VC buffer is a fixed ring of vc_depth slots; flits move, never copy.
+ * Active-set stepping: the router is not a Clocked component. Its
+ * Network steps it only while it holds a buffered flit. acceptFlit()
+ * sets the router's bit in the network's active set, and advance()
+ * clears it once the last flit has left. Nothing else changes per
+ * cycle in an empty router: the input round-robin pointer is derived
+ * from the cycle count, (now - epoch) mod ports, rather than rotated
+ * each cycle. Within a cycle, work is spent only on input ports that
+ * hold flits (a per-port count). Each VC buffer is a fixed ring of
+ * vc_depth slots; flits move, never copy.
  */
 #ifndef APPROXNOC_NOC_ROUTER_H
 #define APPROXNOC_NOC_ROUTER_H
@@ -23,9 +27,9 @@
 #include <vector>
 
 #include "common/types.h"
+#include "noc/active_set.h"
 #include "noc/noc_config.h"
 #include "noc/packet.h"
-#include "sim/clocked.h"
 #include "telemetry/packet_tracer.h"
 
 namespace approxnoc {
@@ -42,7 +46,7 @@ class FlitSource
 };
 
 /** The router proper. */
-class Router : public Clocked, public FlitSource
+class Router : public FlitSource
 {
   public:
     /**
@@ -58,8 +62,14 @@ class Router : public Clocked, public FlitSource
         std::uint8_t port[2] = {0, 0};
     };
 
-    /** @param routes one Route per destination router, by RouterId. */
-    Router(RouterId id, const NocConfig &cfg, std::vector<Route> routes);
+    /**
+     * @param routes one Route per destination router, by RouterId.
+     * @param activity the owning network's work-tracking state; the
+     *        router keeps its bit in activity.routers equal to
+     *        occupancy() > 0 and counts its forwarded flits there.
+     */
+    Router(RouterId id, const NocConfig &cfg, std::vector<Route> routes,
+           NocActivity &activity);
 
     RouterId id() const { return id_; }
     unsigned numPorts() const { return n_ports_; }
@@ -80,6 +90,10 @@ class Router : public Clocked, public FlitSource
      * Enables class-aware VC allocation on this router.
      */
     void setLinkInfo(unsigned out_port, unsigned dim, bool wrap);
+
+    /** First cycle the router is stepped: the input round-robin starts
+     * at port 0 in that cycle and moves one port per cycle. */
+    void setEpoch(Cycle c) { epoch_ = c; }
     ///@}
 
     /** @name Link interface (called by the upstream's advance phase) */
@@ -89,8 +103,11 @@ class Router : public Clocked, public FlitSource
     void creditReturn(unsigned out_port, unsigned vc) override;
     ///@}
 
-    void evaluate(Cycle now) override;
-    void advance(Cycle now) override;
+    /** Phase 1: switch allocation. Only called while occupancy() > 0. */
+    void evaluate(Cycle now);
+    /** Phase 2: move the granted flits; clears the router's active bit
+     * when it is left empty. */
+    void advance(Cycle now);
 
     /** Total buffered flits (drain detection). O(1). */
     std::size_t occupancy() const { return buffered_; }
@@ -179,7 +196,8 @@ class Router : public Clocked, public FlitSource
 
     Flit &front(const VcBuf &b) { return slots_[b.base + b.head]; }
 
-    unsigned rr_in_ = 0; ///< round-robin pointer over input ports
+    NocActivity &activity_;
+    Cycle epoch_ = 0; ///< see setEpoch()
     std::vector<unsigned> rr_vc_; ///< per-input round-robin over VCs
     bool class_aware_ = false; ///< any link tagged => dateline VCs on
 

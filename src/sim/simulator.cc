@@ -1,7 +1,6 @@
 #include "sim/simulator.h"
 
 #include <algorithm>
-#include <chrono>
 
 #include "common/log.h"
 #include "telemetry/phase_profiler.h"
@@ -50,8 +49,6 @@ Simulator::bindProfiler(telemetry::PhaseProfiler *profiler)
         ph_other_ = profiler_->definePhase("sim.other");
         // Pre-register the classification targets so phaseOf never
         // defines a phase mid-run (definePhase is setup-time only).
-        profiler_->definePhase("sim.router");
-        profiler_->definePhase("sim.ni");
         profiler_->definePhase("sim.network");
         profiler_->definePhase("sim.sampler");
     }
@@ -65,11 +62,7 @@ Simulator::phaseOf(std::size_t i)
     std::size_t &ph = phase_of_[i];
     if (ph == kNoPhase) {
         const std::string &n = components_[i]->name();
-        if (n.rfind("router", 0) == 0)
-            ph = profiler_->definePhase("sim.router");
-        else if (n.rfind("ni", 0) == 0)
-            ph = profiler_->definePhase("sim.ni");
-        else if (n.rfind("network", 0) == 0)
+        if (n.rfind("network", 0) == 0)
             ph = profiler_->definePhase("sim.network");
         else if (n.rfind("sampler", 0) == 0)
             ph = profiler_->definePhase("sim.sampler");
@@ -82,28 +75,12 @@ Simulator::phaseOf(std::size_t i)
 void
 Simulator::profiledSweep(bool advance)
 {
-    // Time contiguous same-phase runs, not individual components: the
-    // network registers its routers and NIs in blocks, so one cycle
-    // costs a handful of clock reads instead of one per component.
-    // anoc-lint: allow(D1) -- profiled-sweep wall clock; feeds only the profile artifact, outside the byte-identical contract
-    using clock = std::chrono::steady_clock;
-    const std::size_t end = components_.size();
-    std::size_t i = 0;
-    while (i < end) {
-        const std::size_t ph = phaseOf(i);
-        const auto t0 = clock::now();
-        std::size_t j = i;
-        while (j < end && phaseOf(j) == ph) {
-            if (advance)
-                components_[j]->advance(now_);
-            else
-                components_[j]->evaluate(now_);
-            ++j;
-        }
-        const auto dt = std::chrono::duration_cast<std::chrono::nanoseconds>(
-            clock::now() - t0);
-        profiler_->add(ph, static_cast<std::uint64_t>(dt.count()), j - i);
-        i = j;
+    for (std::size_t i = 0; i < components_.size(); ++i) {
+        telemetry::PhaseProfiler::Scope s(profiler_, phaseOf(i));
+        if (advance)
+            components_[i]->advance(now_);
+        else
+            components_[i]->evaluate(now_);
     }
 }
 

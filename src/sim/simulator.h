@@ -57,10 +57,11 @@ class Simulator
 
     /**
      * Attach a self-profiler. Subsequent cycles are stepped through a
-     * phase-timed path: the event queue and each contiguous run of
-     * same-kind components (routers, NIs, the network, the sampler)
-     * are timed under `sim.*` phases. Components are classified once,
-     * lazily, by their Clocked name prefix. Null (the default)
+     * phase-timed path: the event queue and each component's step are
+     * timed under `sim.*` phases (the network, the sampler, and the
+     * rest as `sim.other`). Components are classified once,
+     * lazily, by their Clocked name prefix. The network times its own
+     * routers and NIs (Network::bindProfiler). Null (the default)
      * restores the untimed fast path — `step()` pays one pointer test.
      */
     void bindProfiler(telemetry::PhaseProfiler *profiler);

@@ -96,19 +96,25 @@ class PhaseProfiler
             if (p_) {
                 // anoc-lint: allow(D1) -- the PhaseProfiler IS the sanctioned wall-clock boundary; its output never enters deterministic artifacts
                 auto end = std::chrono::steady_clock::now();
-                p_->add(id_, static_cast<std::uint64_t>(
-                                 std::chrono::duration_cast<
-                                     std::chrono::nanoseconds>(end - start_)
-                                     .count()));
+                p_->add(id_,
+                        static_cast<std::uint64_t>(
+                            std::chrono::duration_cast<
+                                std::chrono::nanoseconds>(end - start_)
+                                .count()),
+                        calls_);
             }
         }
 
         Scope(const Scope &) = delete;
         Scope &operator=(const Scope &) = delete;
 
+        /** Count @p n calls instead of one: a scope around a batch. */
+        void setCalls(std::uint64_t n) { calls_ = n; }
+
       private:
         PhaseProfiler *p_;
         PhaseId id_;
+        std::uint64_t calls_ = 1;
         std::chrono::steady_clock::time_point start_; // anoc-lint: allow(D1) -- profiler-internal timestamp type, wall-clock boundary
     };
 

@@ -6,7 +6,8 @@ compares the CSV it writes (plus any image listed in EXTRA_FILES) with
 the checked-in copy under results/. Any difference (or a harness
 failure) is a test failure, with a unified diff of the first differing
 lines of a CSV. fig12_throughput also matches but takes about 35 s, so
-it is left out of this check.
+it is left out of this check; CI byte-compares it in its own
+golden-fig12 step.
 
     golden_results.py <bench-binary-dir> <results-dir>
 """

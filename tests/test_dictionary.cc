@@ -41,6 +41,14 @@ TEST(DiComp, IndexBits)
     EXPECT_EQ(small_config().indexBits(), 3u);
 }
 
+TEST(DiComp, ZeroNotifyDelayIsRejected)
+{
+    DictionaryConfig cfg = small_config();
+    // anoc-lint: allow(C2) -- the death test builds the forbidden config on purpose
+    cfg.notify_delay = 0;
+    EXPECT_DEATH(DiCompCodec c(cfg), "notify_delay must be at least 1");
+}
+
 TEST(DiComp, FirstTransmissionsAreRaw)
 {
     DiCompCodec c(small_config());

@@ -17,8 +17,12 @@
 
 #include <gtest/gtest.h>
 
+#include "core/codec_factory.h"
 #include "harness/experiment.h"
+#include "noc/network.h"
 #include "sim/simulator.h"
+#include "traffic/data_provider.h"
+#include "traffic/synthetic.h"
 #include "telemetry/error_profile.h"
 #include "telemetry/metric_registry.h"
 #include "telemetry/packet_tracer.h"
@@ -544,6 +548,36 @@ TEST(PhaseProfiler, ScopesAccumulateAndMergeByName)
     EXPECT_EQ(root.at("schema").str, "approxnoc-phase-profile-v1");
     EXPECT_TRUE(root.at("phases").has("sim.router"));
     EXPECT_EQ(root.at("phases").at("sim.ni").at("calls").num, 2.0);
+}
+
+TEST(PhaseProfiler, NetworkTimesItsRouterAndNiSweeps)
+{
+    // Routers and NIs are stepped by the network, not the Simulator,
+    // so the network itself must feed sim.router and sim.ni.
+    NocConfig cfg; // 4x4 cmesh
+    CodecConfig cc;
+    cc.n_nodes = cfg.nodes();
+    auto codec = CodecFactory::create(Scheme::Baseline, cc);
+    Network net(cfg, codec.get());
+    Simulator sim;
+    net.attach(sim);
+    SyntheticConfig tc;
+    SyntheticDataProvider provider(DataType::Int32);
+    SyntheticTraffic gen(net, tc, provider);
+    sim.add(&gen);
+
+    PhaseProfiler prof;
+    sim.bindProfiler(&prof);
+    net.bindProfiler(&prof);
+    sim.run(500);
+
+    std::map<std::string, PhaseProfiler::Phase> by_name;
+    for (const auto &ph : prof.snapshot())
+        by_name[ph.name] = ph;
+    EXPECT_GT(by_name["sim.router"].calls, 0u);
+    EXPECT_GT(by_name["sim.ni"].calls, 0u);
+    // One evaluate and one advance per cycle.
+    EXPECT_EQ(by_name["sim.network"].calls, 1000u);
 }
 
 // ------------------------------------------------------------- Telemetry

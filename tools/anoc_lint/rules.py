@@ -237,7 +237,7 @@ def check_c2(sf: SourceFile, tree: Tree) -> list[Finding]:
                 "notify_delay = 0 constructs a dictionary whose "
                 "update notifications apply within the issuing cycle, "
                 "which the NoC consistency protocol forbids "
-                "(noc/network.h requires notify_delay >= 1)"))
+                "(compression/dictionary.cc asserts notify_delay >= 1)"))
     return out
 
 
