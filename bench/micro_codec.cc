@@ -1,8 +1,9 @@
 /**
  * @file
  * google-benchmark microbenchmarks for the codec datapath primitives:
- * AVCL analysis, FPC matching/decoding, TCAM search and block-level
- * encode for each scheme.
+ * AVCL analysis, FPC matching/decoding, TCAM search, block-level
+ * encode for each scheme, and a 128-endpoint DI-VAXX round trip with
+ * the dictionary protocol running as it does in the simulator.
  *
  * Invoked with --bench-out=FILE the binary instead runs the
  * perf-regression harness: a fixed, seeded encode workload per scheme
@@ -163,6 +164,50 @@ BM_EncodeBlock(benchmark::State &state)
     state.SetLabel(to_string(static_cast<Scheme>(state.range(0))));
 }
 BENCHMARK(BM_EncodeBlock)->DenseRange(0, 4);
+
+void
+BM_DiVaxxRoundTrip128(benchmark::State &state)
+{
+    // DI-VAXX as the 8x8 cmesh drives it: 128 endpoints, 8-entry PMTs,
+    // uniform random flows, and per block an encode at the source, a
+    // decode at the destination and a drain of that destination's
+    // notifications. Time advances by 2 cycles every 3 blocks, the
+    // block rate of the 8x8 simulation at 0.12 flits/cycle/node with
+    // half the packets carrying data, so dictionary updates come due
+    // and the update lists, tracker and destination table work as
+    // they do in the simulator.
+    constexpr unsigned kNodes = 128;
+    Rng rng(11);
+    std::vector<DataBlock> blocks;
+    for (int i = 0; i < 256; ++i) {
+        std::vector<Word> ws(16);
+        for (auto &w : ws)
+            w = rng.chance(0.7) ? 1000u + static_cast<Word>(rng.next(8))
+                                : static_cast<Word>(rng.bits());
+        blocks.emplace_back(ws, DataType::Int32, true);
+    }
+    std::vector<std::pair<NodeId, NodeId>> flows(4096);
+    for (auto &f : flows) {
+        f.first = static_cast<NodeId>(rng.next(kNodes));
+        do
+            f.second = static_cast<NodeId>(rng.next(kNodes));
+        while (f.second == f.first);
+    }
+
+    DictionaryConfig dict;
+    dict.n_nodes = kNodes;
+    DiVaxxCodec codec(dict, ErrorModel(10.0));
+    std::size_t i = 0;
+    for (auto _ : state) {
+        const Cycle t = static_cast<Cycle>(i * 2 / 3);
+        const auto [src, dst] = flows[i & 4095];
+        EncodedBlock enc = codec.encodeBlock(blocks[i & 255], src, dst, t);
+        benchmark::DoNotOptimize(codec.decodeBlock(enc, src, dst, t));
+        benchmark::DoNotOptimize(codec.drainNotifications(dst));
+        ++i;
+    }
+}
+BENCHMARK(BM_DiVaxxRoundTrip128);
 
 void
 BM_WindowVaxxEncode(benchmark::State &state)

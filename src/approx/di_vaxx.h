@@ -10,7 +10,6 @@
 #ifndef APPROXNOC_APPROX_DI_VAXX_H
 #define APPROXNOC_APPROX_DI_VAXX_H
 
-#include <map>
 #include <vector>
 
 #include "approx/avcl.h"
@@ -32,11 +31,65 @@ enum class VaxxPlacement : std::uint8_t {
     Lookup,    ///< ablation: AVCL on the critical path
 };
 
+/**
+ * One DI-VAXX encoder's PMT (Fig. 8): a TCAM of approximate patterns
+ * and, per TCAM slot and destination, that destination's decoder
+ * index and original pattern. The mappings are a flat
+ * [slot x n_nodes] array plus a per-slot count of valid mappings; a
+ * TCAM entry is erased when its last mapping is invalidated.
+ */
+class VaxxEncoderTable
+{
+  public:
+    /** One destination's view of a TCAM entry (Fig. 8: idx + op). */
+    struct Mapping {
+        Word original = 0;
+        std::uint8_t index = 0;
+        bool valid = false;
+    };
+
+    VaxxEncoderTable(std::size_t entries, std::size_t n_nodes,
+                     ReplacementPolicy policy);
+
+    /**
+     * Map @p decoder's @p index (holding @p original) under the TCAM
+     * entry for @p tp, learned from data of @p type. When @p tp is not
+     * stored yet it replaces the TCAM victim, and the victim's
+     * mappings for every destination go with it.
+     */
+    void record(const TernaryPattern &tp, DataType type, NodeId decoder,
+                std::uint8_t index, Word original);
+
+    /** Drop @p decoder's mapping to @p index wherever it is held,
+     * erasing a TCAM entry left without mappings. */
+    void invalidate(NodeId decoder, std::uint8_t index);
+
+    const Mapping &
+    mapping(std::size_t slot, NodeId dst) const
+    {
+        return mappings_[slot * n_nodes_ + dst];
+    }
+    /** Destinations with a valid mapping under @p slot. */
+    std::size_t mappedCount(std::size_t slot) const { return mapped_[slot]; }
+    /** Data type the pattern in @p slot was learned from. */
+    DataType type(std::size_t slot) const { return types_[slot]; }
+
+    Tcam &tcam() { return tcam_; }
+    const Tcam &tcam() const { return tcam_; }
+
+  private:
+    Tcam tcam_;
+    std::size_t n_nodes_;
+    std::vector<DataType> types_;
+    std::vector<Mapping> mappings_;   ///< [slot * n_nodes + dst]
+    std::vector<std::uint32_t> mapped_; ///< valid mappings per slot
+};
+
 /** The DI-VAXX codec. */
 class DiVaxxCodec : public DictionaryCodecBase
 {
   public:
-    ANOC_ISOLATION_CONTRACT(flow_isolation, destination_isolation);
+    ANOC_ISOLATION_CONTRACT(flow_isolation);
 
     DiVaxxCodec(const DictionaryConfig &cfg, const ErrorModel &model,
                 VaxxPlacement placement = VaxxPlacement::Insertion);
@@ -89,30 +142,16 @@ class DiVaxxCodec : public DictionaryCodecBase
     void applyUpdateAtEncoder(NodeId enc, const Update &u) override;
 
   private:
-    /** Per-destination view of one TCAM entry (Fig. 8: idx + op). */
-    struct DstEntry {
-        std::uint8_t index;
-        Word original;
-    };
-
-    struct EncoderState {
-        Tcam tcam;
-        std::vector<DataType> types;
-        std::vector<std::map<NodeId, DstEntry>> dst_entries;
-
-        EncoderState(const DictionaryConfig &cfg);
-    };
-
     /**
      * The per-word encode step both paths share: one bit-sliced TCAM
      * probe visiting matches in priority order until one holds a
      * usable mapping for @p dst. @p approx_ok and @p type are hoisted
      * by encodeWords and recomputed per word by encodeWord.
      */
-    EncodedWord encodeOne(EncoderState &e, Word w, DataType type,
+    EncodedWord encodeOne(VaxxEncoderTable &e, Word w, DataType type,
                           bool approx_ok, NodeId dst);
 
-    ANOC_SHARD_LOCAL std::vector<EncoderState> encoders_;
+    ANOC_SHARD_LOCAL std::vector<VaxxEncoderTable> encoders_;
     /** Shared read-only analysis logic; its activation count is the
      * Avcl class's own relaxed-atomic contract state. */
     ANOC_REGION_SHARED Avcl avcl_;

@@ -69,7 +69,7 @@ struct CodecCounters {
  *
  * Encoder-side mutable state is keyed by the *source* endpoint: the
  * dictionary schemes keep one PMT (CAM/TCAM plus replacement
- * metadata) and one pending-update FIFO per encoder node, the
+ * metadata) and one pending-update list per encoder node, the
  * adaptive wrapper one mode window per sender, and the stateless
  * schemes no per-call state at all. Blocks of flows with distinct
  * @p src therefore never share mutable encoder state. The remaining
@@ -79,43 +79,40 @@ struct CodecCounters {
  *
  * Callers must serialize all encodes of any one source endpoint, in
  * submission order — same-src blocks contend on that encoder's
- * replacement state and update FIFO even when their @p dst differ.
+ * replacement state and update list even when their @p dst differ.
  * In the simulator each NetworkInterface encodes only as its own
  * source endpoint (it asserts this), and only from serial context.
  *
- * ## Destination-isolation contract (parallel decoding)
+ * ## Destination-isolation contract (per-destination decoder state)
  *
- * Decoder-side mutable state is keyed by the *destination* endpoint,
- * mirroring the encoder contract above: the dictionary schemes keep
- * one decoder PMT, candidate tracker, stale-mapping table and
- * notification queue per destination node, and the stateless schemes
- * no per-call decode state at all. decode()/decodeBlock() calls for
- * distinct @p dst therefore never share mutable decoder state and may
- * run concurrently. The cross-destination state a decode touches is
- *  - commutative relaxed-atomic counters (word/mismatch totals,
- *    telemetry CodecCounters), interleaving-independent by
- *    construction, and
- *  - the per-(encoder, decoder) pending-update channels: a decode at
- *    @p dst appends only to channels owned by @p dst, and the encoder
- *    side merges channels in a deterministic order independent of the
- *    thread interleaving that filled them.
+ * Codecs that declare this contract key their decoder-side mutable
+ * state by the *destination* endpoint, mirroring the encoder contract
+ * above, so decode()/decodeBlock() calls for distinct @p dst never
+ * share mutable decoder state; the only cross-destination state a
+ * decode touches is commutative relaxed-atomic counters (word and
+ * mismatch totals, telemetry CodecCounters). A wrapper such as the
+ * adaptive codec isolates its own state only; it is no more isolated
+ * than the codec it wraps.
  *
- * Callers must (a) serialize all decodes of any one destination
- * endpoint, in submission order — same-dst blocks contend on that
- * decoder's learning state even when their @p src differ — and
- * (b) phase-separate encodes from decodes: an encode drains the
- * pending-update channels decodes append to, so the two sides must
- * not overlap in time.
+ * The dictionary schemes (DI-COMP, DI-VAXX) do not. Their decoder
+ * PMT, candidate tracker, stale-mapping table and notification queue
+ * are per destination, but a decode also appends its update
+ * notifications to the pending-update list of each encoder it
+ * notifies, and decoders of different destinations append to the
+ * same list. Their decodes must be serialized with each other and
+ * with encodes, which drain those lists. The simulator does both: it
+ * steps every NI on one thread.
  *
  * Every notification a decoder emits carries a per-destination
- * monotonic sequence number, so drainNotifications(dst) streams are
- * reproducible whatever the interleaving of decodes.
+ * monotonic sequence number, and a decoder's notifications depend
+ * only on its own decode history, so drainNotifications(dst) streams
+ * do not depend on how decodes of other destinations interleave.
  *
  * No code in the tree calls a codec concurrently: the simulator steps
  * every NI on one thread, and parallel sweeps give each point its own
- * codec. Only the isolation and concurrency tests exercise these two
- * contracts, and deleting them (with their annotations) is the next
- * simplification on ROADMAP.
+ * codec. Only the isolation tests exercise these two contracts, and
+ * deleting them (with their annotations) is the next simplification
+ * on ROADMAP.
  */
 class CodecSystem
 {

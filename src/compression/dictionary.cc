@@ -1,5 +1,7 @@
 #include "compression/dictionary.h"
 
+#include <algorithm>
+
 #include "common/bits.h"
 #include "common/log.h"
 #include "telemetry/phase_profiler.h"
@@ -10,6 +12,65 @@ unsigned
 DictionaryConfig::indexBits() const
 {
     return log2_ceil(pmt_entries);
+}
+
+void
+PendingUpdates::push(const DictionaryUpdate &u)
+{
+    if (u.decoder >= channels_.size())
+        channels_.resize(static_cast<std::size_t>(u.decoder) + 1);
+    list_.push_back(u);
+    next_due_ = std::min(next_due_, u.apply);
+}
+
+const std::vector<DictionaryUpdate> &
+PendingUpdates::takeDue(Cycle now)
+{
+    out_.clear();
+    if (now < next_due_)
+        return out_;
+
+    // One walk in send order splits the list: an update is taken if it
+    // is due and no earlier update of its decoder was held back;
+    // everything else stays queued, still in send order.
+    due_.clear();
+    next_due_ = kNever;
+    std::size_t kept = 0;
+    for (std::size_t i = 0; i < list_.size(); ++i) {
+        const DictionaryUpdate &u = list_[i];
+        Channel &c = channels_[u.decoder];
+        if (!c.held && u.apply <= now) {
+            // Merge key: the largest apply cycle of this decoder's
+            // updates taken so far. A channel merge that always takes
+            // the smallest (apply, decoder) head releases an update the
+            // moment its channel predecessor goes, however early it is
+            // itself, so sorting on this running maximum (ties by
+            // decoder, then send order) reproduces the merge even when
+            // a channel's apply cycles are not monotone.
+            c.run_max = std::max(c.run_max, u.apply);
+            due_.push_back(Due{c.run_max, static_cast<std::uint32_t>(i), u});
+        } else {
+            c.held = true;
+            next_due_ = std::min(next_due_, u.apply);
+            list_[kept++] = u;
+        }
+    }
+    list_.resize(kept);
+    for (const Due &d : due_)
+        channels_[d.u.decoder] = Channel{};
+    for (const DictionaryUpdate &u : list_)
+        channels_[u.decoder] = Channel{};
+
+    std::sort(due_.begin(), due_.end(), [](const Due &a, const Due &b) {
+        if (a.key != b.key)
+            return a.key < b.key;
+        if (a.u.decoder != b.u.decoder)
+            return a.u.decoder < b.u.decoder;
+        return a.seq < b.seq;
+    });
+    for (const Due &d : due_)
+        out_.push_back(d.u);
+    return out_;
 }
 
 DictionaryCodecBase::DecoderState::DecoderState(const DictionaryConfig &cfg)
@@ -32,9 +93,7 @@ DictionaryCodecBase::DictionaryCodecBase(const DictionaryConfig &cfg)
     decoders_.reserve(cfg.n_nodes);
     for (std::size_t i = 0; i < cfg.n_nodes; ++i)
         decoders_.emplace_back(cfg);
-    pending_.assign(cfg.n_nodes,
-                    std::vector<std::deque<Update>>(cfg.n_nodes));
-    pending_count_.assign(cfg.n_nodes, RelaxedCounter{});
+    pending_.resize(cfg.n_nodes);
 
     if (cfg_.preload_zero) {
         for (auto &d : decoders_) {
@@ -97,6 +156,7 @@ DictionaryCodecBase::encodeBlock(const DataBlock &block, NodeId src,
     applyPending(src, now);
     noteEncoded(block.size());
     EncodedBlock enc;
+    enc.reserve(block.size());
     encodeWords(block, src, dst, enc);
     return finishEncoded(std::move(enc), block, src, dst);
 }
@@ -226,12 +286,8 @@ void
 DictionaryCodecBase::send(NodeId enc, Update u, Cycle now)
 {
     (void)now;
-    // Destination isolation: everything here is either owned by the
-    // sending decoder (its channel towards enc, its notification
-    // queue and sequence) or a commutative relaxed counter.
     DecoderState &d = decoders_[u.decoder];
-    pending_[enc][u.decoder].push_back(u);
-    pending_count_[enc].add(1);
+    pending_[enc].push(u);
     d.notify_queue.push_back(Notification{u.decoder, enc, d.next_seq++});
     ++notifications_sent_;
 }
@@ -239,35 +295,14 @@ DictionaryCodecBase::send(NodeId enc, Update u, Cycle now)
 void
 DictionaryCodecBase::applyPending(NodeId enc, Cycle now)
 {
-    if (pending_count_[enc].load() == 0)
+    PendingUpdates &p = pending_[enc];
+    if (now < p.nextDue())
         return;
-    // Timed only once the occupancy gate has passed: the empty-FIFO
-    // early-out above stays a single relaxed load per encode.
+    // Timed only once something may be due: the early-out above stays
+    // a single compare per encode.
     telemetry::PhaseProfiler::Scope prof(profiler(), applyPendingPhase());
-    auto &chans = pending_[enc];
-    for (;;) {
-        // Earliest due update across channels; ties on the apply
-        // cycle break to the lowest decoder id. Each channel stays
-        // FIFO, so a channel whose head is in the future contributes
-        // nothing this round even if later entries are due — the
-        // per-(decoder, encoder) ordering the consistency protocol
-        // needs (an invalidation always precedes the reuse of its
-        // index).
-        std::size_t best = chans.size();
-        for (std::size_t d = 0; d < chans.size(); ++d) {
-            if (chans[d].empty() || chans[d].front().apply > now)
-                continue;
-            if (best == chans.size() ||
-                chans[d].front().apply < chans[best].front().apply)
-                best = d;
-        }
-        if (best == chans.size())
-            break;
-        Update u = chans[best].front();
-        chans[best].pop_front();
-        pending_count_[enc].sub(1);
+    for (const Update &u : p.takeDue(now))
         applyUpdateAtEncoder(enc, u);
-    }
 }
 
 std::vector<CodecSystem::Notification>
@@ -304,11 +339,10 @@ DictionaryCodecBase::decoderWrites() const
 }
 
 DiCompCodec::EncoderState::EncoderState(const DictionaryConfig &cfg)
-    : cam(cfg.pmt_entries, cfg.policy),
-      index_for_dst(cfg.pmt_entries,
-                    std::vector<std::int16_t>(cfg.n_nodes, kNoIndex)),
-      slot_of_index(cfg.n_nodes,
-                    std::vector<std::int16_t>(cfg.pmt_entries, kNoIndex))
+    : cam(cfg.pmt_entries, cfg.policy), n_nodes(cfg.n_nodes),
+      n_slots(cfg.pmt_entries),
+      index_for_dst(cfg.pmt_entries * cfg.n_nodes, kNoIndex),
+      slot_of_index(cfg.n_nodes * cfg.pmt_entries, kNoIndex)
 {}
 
 void
@@ -318,21 +352,21 @@ DiCompCodec::EncoderState::mapIndex(std::size_t slot, NodeId dst,
     // The protocol guarantees at most one slot per (decoder, index):
     // an invalidation precedes any reuse of a decoder index. Drop a
     // stale inverse hit anyway so the two views can never diverge.
-    std::int16_t old_slot = slot_of_index[dst][index];
+    std::int16_t old_slot = slotOf(dst, index);
     if (old_slot != kNoIndex)
-        index_for_dst[static_cast<std::size_t>(old_slot)][dst] = kNoIndex;
-    index_for_dst[slot][dst] = static_cast<std::int16_t>(index);
-    slot_of_index[dst][index] = static_cast<std::int16_t>(slot);
+        indexFor(static_cast<std::size_t>(old_slot), dst) = kNoIndex;
+    indexFor(slot, dst) = static_cast<std::int16_t>(index);
+    slotOf(dst, index) = static_cast<std::int16_t>(slot);
 }
 
 void
 DiCompCodec::EncoderState::unmapSlot(std::size_t slot)
 {
-    for (NodeId d = 0; d < index_for_dst[slot].size(); ++d) {
-        std::int16_t idx = index_for_dst[slot][d];
+    for (NodeId d = 0; d < n_nodes; ++d) {
+        std::int16_t &idx = indexFor(slot, d);
         if (idx != kNoIndex) {
-            slot_of_index[d][static_cast<std::size_t>(idx)] = kNoIndex;
-            index_for_dst[slot][d] = kNoIndex;
+            slotOf(d, static_cast<std::size_t>(idx)) = kNoIndex;
+            idx = kNoIndex;
         }
     }
 }
@@ -351,10 +385,11 @@ DiCompCodec::encodeOne(EncoderState &e, Word w, NodeId dst)
 {
     EncodedWord ew;
     auto slot = e.cam.search(w);
-    if (slot && e.index_for_dst[*slot][dst] != kNoIndex) {
+    std::int16_t index = slot ? e.indexFor(*slot, dst) : kNoIndex;
+    if (index != kNoIndex) {
         ew.kind = static_cast<std::uint8_t>(DiWordKind::Compressed);
         ew.bits = compressedBits();
-        ew.payload = static_cast<std::uint32_t>(e.index_for_dst[*slot][dst]);
+        ew.payload = static_cast<std::uint32_t>(index);
         ew.decoded = w;
     } else {
         ew.kind = static_cast<std::uint8_t>(DiWordKind::Raw);
@@ -386,11 +421,10 @@ DiCompCodec::applyUpdateAtEncoder(NodeId enc, const Update &u)
 {
     EncoderState &e = encoders_[enc];
     if (u.invalidate) {
-        std::int16_t slot = e.slot_of_index[u.decoder][u.index];
+        std::int16_t &slot = e.slotOf(u.decoder, u.index);
         if (slot != kNoIndex) {
-            e.index_for_dst[static_cast<std::size_t>(slot)][u.decoder] =
-                kNoIndex;
-            e.slot_of_index[u.decoder][u.index] = kNoIndex;
+            e.indexFor(static_cast<std::size_t>(slot), u.decoder) = kNoIndex;
+            slot = kNoIndex;
         }
         return;
     }

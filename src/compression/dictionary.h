@@ -8,7 +8,8 @@
  * variant (TCAM encoder, approx/di_vaxx.h) can reuse them.
  *
  * Consistency protocol: notifications apply at the encoder after
- * `notify_delay` cycles (FIFO per encoder, so ordering is preserved).
+ * `notify_delay` cycles (FIFO per decoder-encoder pair, so ordering is
+ * preserved; see PendingUpdates).
  * When the decoder evicts a PMT entry it keeps a per-(index, sender)
  * "stale" mapping alive until the matching invalidation has applied at
  * the sender plus a grace window, so indices compressed with the old
@@ -19,7 +20,7 @@
 #define APPROXNOC_COMPRESSION_DICTIONARY_H
 
 #include <cstdint>
-#include <deque>
+#include <limits>
 #include <map>
 #include <optional>
 #include <vector>
@@ -64,28 +65,86 @@ enum class DiWordKind : std::uint8_t {
     Compressed = 1, ///< 1 flag bit + indexBits() bits
 };
 
+/** An update or invalidation in flight from a decoder to an encoder. */
+struct DictionaryUpdate {
+    Cycle apply = 0;         ///< cycle at which the encoder sees it
+    bool invalidate = false; ///< true: drop (decoder,index) mapping
+    Word pattern = 0;        ///< pattern being installed (updates)
+    DataType type = DataType::Raw; ///< data type the pattern was learned from
+    std::uint8_t index = 0;  ///< decoder PMT index
+    NodeId decoder = 0;      ///< decoder that owns the index
+};
+
+/**
+ * The updates in flight towards one encoder, in send order.
+ *
+ * takeDue(now) removes and returns the updates due at @p now in the
+ * order a merge of per-decoder FIFO channels yields: ascending (apply
+ * cycle, decoder id), each decoder's updates in send order, and an
+ * update that is not yet due holding back only the later updates of
+ * its own decoder (an invalidation always precedes the reuse of its
+ * index). The order is a pure function of the list and @p now, for
+ * any sequence of @p now values, monotone or not.
+ *
+ * nextDue() is a lower bound on every queued apply cycle, so the
+ * per-encode call costs one compare while nothing is due.
+ */
+class PendingUpdates
+{
+  public:
+    static constexpr Cycle kNever = std::numeric_limits<Cycle>::max();
+
+    void push(const DictionaryUpdate &u);
+    bool empty() const { return list_.empty(); }
+    std::size_t size() const { return list_.size(); }
+    /** No queued update applies before this cycle (kNever if empty). */
+    Cycle nextDue() const { return next_due_; }
+
+    /** Remove the updates due at @p now and return them in merge
+     * order. The reference stays valid until the next call. */
+    const std::vector<DictionaryUpdate> &takeDue(Cycle now);
+
+  private:
+    /** Per-decoder scratch of one takeDue() walk. */
+    struct Channel {
+        bool held = false;  ///< an earlier update is not yet due
+        Cycle run_max = 0;  ///< largest apply cycle taken so far
+    };
+    /** A due update with its merge key (see takeDue()). */
+    struct Due {
+        Cycle key;
+        std::uint32_t seq;
+        DictionaryUpdate u;
+    };
+
+    std::vector<DictionaryUpdate> list_;
+    Cycle next_due_ = kNever;
+    std::vector<Channel> channels_; ///< indexed by decoder id
+    std::vector<Due> due_;
+    std::vector<DictionaryUpdate> out_;
+};
+
 /**
  * Shared machinery: decoder PMTs + candidate trackers, the delayed
  * update channel, eviction/invalidation bookkeeping and the decode
  * path. Subclasses own the encoder-side structures.
  *
- * State isolation (the CodecSystem flow-isolation and
- * destination-isolation contracts):
+ * State isolation (the CodecSystem flow-isolation contract):
  * encode()/encodeBlock() for source s touches only the subclass's
  * encoders_[s] (PMT, replacement metadata, per-destination index
- * views) and pending_[s] (the update channels applyPending merges)
- * plus relaxed-atomic counters — never decoders_ or another source's
- * tables. decode()/decodeBlock() for destination d touches only
+ * views) and pending_[s] (the updates in flight towards s) plus
+ * relaxed-atomic counters — never decoders_ or another source's
+ * tables. decode()/decodeBlock() for destination d touches
  * decoders_[d] (PMT, tracker, stale mappings, notification queue and
- * sequence) and, via send(), the pending_[*][d] channels d alone
- * owns, plus relaxed-atomic counters — never another destination's
- * decoder state. Encodes and decodes must not overlap in time: the
- * encoder side drains the very channels the decoder side fills.
+ * sequence) and, via send(), appends to pending_[e] for the encoders
+ * e it notifies. Those lists are shared by every decoder, so decodes
+ * of different destinations are not isolated from each other: all
+ * calls must come from one thread, as they do in the simulator.
  */
 class DictionaryCodecBase : public CodecSystem
 {
   public:
-    ANOC_ISOLATION_CONTRACT(flow_isolation, destination_isolation);
+    ANOC_ISOLATION_CONTRACT(flow_isolation);
 
     explicit DictionaryCodecBase(const DictionaryConfig &cfg);
 
@@ -131,15 +190,7 @@ class DictionaryCodecBase : public CodecSystem
     }
 
   protected:
-    /** An update or invalidation in flight towards an encoder. */
-    struct Update {
-        Cycle apply = 0;         ///< cycle at which the encoder sees it
-        bool invalidate = false; ///< true: drop (decoder,index) mapping
-        Word pattern = 0;        ///< pattern being installed (updates)
-        DataType type = DataType::Raw; ///< data type the pattern was learned from
-        std::uint8_t index = 0;  ///< decoder PMT index
-        NodeId decoder = 0;      ///< decoder that owns the index
-    };
+    using Update = DictionaryUpdate;
 
     /** Encode a single word at @p src for @p dst (encoder tables). */
     virtual EncodedWord encodeWord(Word w, const DataBlock &block,
@@ -159,14 +210,11 @@ class DictionaryCodecBase : public CodecSystem
     virtual void applyUpdateAtEncoder(NodeId enc, const Update &u) = 0;
 
     /**
-     * Apply every notification due at @p now for encoder @p enc,
-     * merging the per-(encoder, decoder) channels in a deterministic
-     * order: ascending (apply cycle, decoder id), each channel
-     * consumed in FIFO (= per-destination sequence) order, and a
-     * channel whose head is not yet due blocks only itself. The merge
-     * is a pure function of the channel contents, which are each
-     * owned by one destination — so the encoder sees the same update
-     * sequence whatever the decode interleaving.
+     * Apply every notification due at @p now for encoder @p enc, in
+     * PendingUpdates::takeDue order: ascending (apply cycle, decoder
+     * id), each decoder's updates in send (= per-destination
+     * sequence) order, and an update not yet due holding back only
+     * its own decoder's later updates.
      */
     void applyPending(NodeId enc, Cycle now);
 
@@ -222,28 +270,9 @@ class DictionaryCodecBase : public CodecSystem
     };
 
     ANOC_SHARD_LOCAL std::vector<DecoderState> decoders_;
-    /**
-     * Pending update channels, [encoder][decoder]: the update FIFO
-     * from one decoder towards one encoder. Splitting the historical
-     * per-encoder FIFO by decoder is what makes parallel decode
-     * deterministic — each channel is written by exactly one
-     * destination shard, and applyPending merges them in a
-     * deterministic order (see above).
-     */
-    /** Shard-local in both phases, under different keys: channel
-     * [e][d] is written only by destination shard d (decode phase)
-     * and drained only by source shard e (encode phase), and the two
-     * phases never overlap (the pipeline's phasing obligation). */
-    ANOC_SHARD_LOCAL std::vector<std::vector<std::deque<Update>>> pending_;
-    /**
-     * Relaxed-atomic occupancy gate per encoder: total updates queued
-     * across that encoder's channels, so the per-block applyPending
-     * call skips the channel scan when nothing is in flight.
-     * Commutative (adds from decoder shards, subs from the encoder),
-     * so the gate never diverges from the channel contents between
-     * phases.
-     */
-    ANOC_CROSS_SHARD(RelaxedCounter) std::vector<RelaxedCounter> pending_count_;
+    /** Updates in flight, one list per encoder, appended to by every
+     * decoder that notifies that encoder. */
+    ANOC_SHARD_LOCAL std::vector<PendingUpdates> pending_;
     ANOC_CROSS_SHARD(RelaxedCounter) RelaxedCounter notifications_sent_;
 };
 
@@ -255,7 +284,7 @@ class DictionaryCodecBase : public CodecSystem
 class DiCompCodec : public DictionaryCodecBase
 {
   public:
-    ANOC_ISOLATION_CONTRACT(flow_isolation, destination_isolation);
+    ANOC_ISOLATION_CONTRACT(flow_isolation);
 
     explicit DiCompCodec(const DictionaryConfig &cfg);
 
@@ -279,16 +308,29 @@ class DiCompCodec : public DictionaryCodecBase
 
     struct EncoderState {
         Cam cam;
-        /** [slot][dst] -> decoder index or kNoIndex. */
-        std::vector<std::vector<std::int16_t>> index_for_dst;
+        std::size_t n_nodes;
+        std::size_t n_slots;
+        /** [slot * n_nodes + dst] -> decoder index or kNoIndex. */
+        std::vector<std::int16_t> index_for_dst;
         /**
-         * Inverse view, [dst][index] -> slot or kNoIndex, so an
-         * invalidation notification drops its mapping in O(1) instead
-         * of sweeping every CAM slot.
+         * Inverse view, [dst * n_slots + index] -> slot or kNoIndex,
+         * so an invalidation notification drops its mapping in O(1)
+         * instead of sweeping every CAM slot.
          */
-        std::vector<std::vector<std::int16_t>> slot_of_index;
+        std::vector<std::int16_t> slot_of_index;
 
         EncoderState(const DictionaryConfig &cfg);
+
+        std::int16_t &
+        indexFor(std::size_t slot, NodeId dst)
+        {
+            return index_for_dst[slot * n_nodes + dst];
+        }
+        std::int16_t &
+        slotOf(NodeId dst, std::size_t index)
+        {
+            return slot_of_index[dst * n_slots + index];
+        }
 
         /** Set slot/index/dst triple, dropping any stale inverse hit. */
         void mapIndex(std::size_t slot, NodeId dst, std::uint8_t index);

@@ -1,5 +1,6 @@
 #include "tcam/cam.h"
 
+#include <algorithm>
 #include <limits>
 
 #include "common/log.h"
@@ -21,7 +22,8 @@ index_buckets_for(std::size_t capacity)
 } // namespace
 
 Cam::Cam(std::size_t n_entries, ReplacementPolicy policy)
-    : entries_(n_entries), index_(index_buckets_for(n_entries), kEmpty),
+    : valid_(n_entries, 0), keys_(n_entries, 0), freq_(n_entries, 0),
+      last_use_(n_entries, 0), index_(index_buckets_for(n_entries)),
       index_mask_(index_.size() - 1), policy_(policy)
 {
     ANOC_ASSERT(n_entries > 0, "CAM must have at least one entry");
@@ -32,14 +34,11 @@ Cam::findSlot(Word key) const
 {
     std::size_t b = hashKey(key) & index_mask_;
     while (true) {
-        std::int32_t v = index_[b];
-        if (v == kEmpty)
+        const Bucket &x = index_[b];
+        if (x.slot == kEmpty)
             return kNoSlot;
-        if (v != kTombstone) {
-            const Entry &e = entries_[static_cast<std::size_t>(v)];
-            if (e.valid && e.key == key)
-                return static_cast<std::size_t>(v);
-        }
+        if (x.key == key)
+            return static_cast<std::size_t>(x.slot);
         b = (b + 1) & index_mask_;
     }
 }
@@ -48,41 +47,44 @@ void
 Cam::indexInsert(Word key, std::size_t slot)
 {
     std::size_t b = hashKey(key) & index_mask_;
-    while (index_[b] != kEmpty && index_[b] != kTombstone)
+    while (index_[b].slot != kEmpty)
         b = (b + 1) & index_mask_;
-    if (index_[b] == kTombstone)
-        --tombstones_;
-    index_[b] = static_cast<std::int32_t>(slot);
+    index_[b] = Bucket{key, static_cast<std::int32_t>(slot)};
 }
 
 void
-Cam::indexErase(Word key, std::size_t slot)
+Cam::indexErase(Word key)
 {
-    std::size_t b = hashKey(key) & index_mask_;
+    std::size_t hole = hashKey(key) & index_mask_;
     while (true) {
-        std::int32_t v = index_[b];
-        ANOC_ASSERT(v != kEmpty, "CAM index entry missing on erase");
-        if (v == static_cast<std::int32_t>(slot)) {
-            index_[b] = kTombstone;
-            ++tombstones_;
+        ANOC_ASSERT(index_[hole].slot != kEmpty,
+                    "CAM index entry missing on erase");
+        if (index_[hole].key == key)
             break;
-        }
-        b = (b + 1) & index_mask_;
+        hole = (hole + 1) & index_mask_;
     }
-    // A quarter of the table dead is the classic rebuild point: probe
-    // chains stay short and the rebuild cost amortizes to O(1).
-    if (tombstones_ > index_.size() / 4)
-        rebuildIndex();
+    // Backward-shift deletion: walk the rest of the chain and move
+    // back every key whose home bucket lies cyclically at or before
+    // the hole, so every live key stays reachable from its home
+    // without a tombstone.
+    for (std::size_t b = (hole + 1) & index_mask_; index_[b].slot != kEmpty;
+         b = (b + 1) & index_mask_) {
+        std::size_t home = hashKey(index_[b].key) & index_mask_;
+        if (((b - home) & index_mask_) >= ((b - hole) & index_mask_)) {
+            index_[hole] = index_[b];
+            hole = b;
+        }
+    }
+    index_[hole].slot = kEmpty;
 }
 
 void
-Cam::rebuildIndex()
+Cam::resetSlot(std::size_t slot)
 {
-    std::fill(index_.begin(), index_.end(), kEmpty);
-    tombstones_ = 0;
-    for (std::size_t i = 0; i < entries_.size(); ++i)
-        if (entries_[i].valid)
-            indexInsert(entries_[i].key, i);
+    valid_[slot] = 0;
+    keys_[slot] = 0;
+    freq_[slot] = 0;
+    last_use_[slot] = 0;
 }
 
 std::optional<std::size_t>
@@ -93,9 +95,8 @@ Cam::search(Word key)
     std::size_t slot = findSlot(key);
     if (slot == kNoSlot)
         return std::nullopt;
-    Entry &e = entries_[slot];
-    e.last_use = tick_;
-    ++e.freq;
+    last_use_[slot] = tick_;
+    ++freq_[slot];
     return slot;
 }
 
@@ -112,22 +113,22 @@ Cam::peek(Word key) const
 std::size_t
 Cam::pickVictim() const
 {
+    const std::size_t n = keys_.size();
     // Prefer the lowest-index invalid slot.
-    if (valid_count_ < entries_.size())
-        for (std::size_t i = 0; i < entries_.size(); ++i)
-            if (!entries_[i].valid)
+    if (valid_count_ < n)
+        for (std::size_t i = 0; i < n; ++i)
+            if (!valid_[i])
                 return i;
 
     // All valid: minimum replacement score; strict '<' makes ties break
     // deterministically towards the lowest slot index.
+    const std::uint64_t *score =
+        policy_ == ReplacementPolicy::Lru ? last_use_.data() : freq_.data();
     std::size_t victim = 0;
     std::uint64_t best = std::numeric_limits<std::uint64_t>::max();
-    for (std::size_t i = 0; i < entries_.size(); ++i) {
-        std::uint64_t score = policy_ == ReplacementPolicy::Lru
-                                  ? entries_[i].last_use
-                                  : entries_[i].freq;
-        if (score < best) {
-            best = score;
+    for (std::size_t i = 0; i < n; ++i) {
+        if (score[i] < best) {
+            best = score[i];
             victim = i;
         }
     }
@@ -148,50 +149,48 @@ Cam::insert(Word key)
     ++writes_;
     ++tick_;
     std::size_t slot = victimFor(key);
-    Entry &e = entries_[slot];
-    bool rehit = e.valid && e.key == key;
+    bool rehit = valid_[slot] && keys_[slot] == key;
     if (!rehit) {
-        if (e.valid)
-            indexErase(e.key, slot);
+        if (valid_[slot])
+            indexErase(keys_[slot]);
         else
             ++valid_count_;
         indexInsert(key, slot);
     }
-    e.valid = true;
-    e.key = key;
-    e.last_use = tick_;
-    e.freq = rehit ? e.freq + 1 : 1;
+    valid_[slot] = 1;
+    keys_[slot] = key;
+    last_use_[slot] = tick_;
+    freq_[slot] = rehit ? freq_[slot] + 1 : 1;
     return slot;
 }
 
 void
 Cam::erase(std::size_t slot)
 {
-    ANOC_ASSERT(slot < entries_.size(), "CAM slot out of range");
-    if (entries_[slot].valid) {
-        indexErase(entries_[slot].key, slot);
+    ANOC_ASSERT(slot < keys_.size(), "CAM slot out of range");
+    if (valid_[slot]) {
+        indexErase(keys_[slot]);
         --valid_count_;
     }
-    entries_[slot] = Entry{};
+    resetSlot(slot);
 }
 
 void
 Cam::clear()
 {
-    for (auto &e : entries_)
-        e = Entry{};
-    std::fill(index_.begin(), index_.end(), kEmpty);
-    tombstones_ = 0;
+    for (std::size_t i = 0; i < keys_.size(); ++i)
+        resetSlot(i);
+    std::fill(index_.begin(), index_.end(), Bucket{});
     valid_count_ = 0;
 }
 
 void
 Cam::touch(std::size_t slot)
 {
-    ANOC_ASSERT(slot < entries_.size(), "CAM slot out of range");
+    ANOC_ASSERT(slot < keys_.size(), "CAM slot out of range");
     ++tick_;
-    entries_[slot].last_use = tick_;
-    ++entries_[slot].freq;
+    last_use_[slot] = tick_;
+    ++freq_[slot];
 }
 
 } // namespace approxnoc

@@ -2,13 +2,17 @@
  * @file
  * Behavioural model of a content-addressable memory: fixed entry count,
  * exact-match search, LRU/LFU replacement, activity counters for the
- * power model. Decoder PMTs and the FP-COMP pattern table use this.
+ * power model. Decoder PMTs, decoder candidate trackers and the
+ * DI-COMP encoder PMT use this.
  *
  * The match engine is hash-indexed: an open-addressed key -> slot map
- * shadows the entry array, so exact-match search is O(1) expected
- * instead of one compare per entry. The map is maintained incrementally
- * on insert/erase/clear and never influences replacement decisions —
- * victim selection stays a deterministic scan over slot order.
+ * shadows the entry arrays, so exact-match search is O(1) expected
+ * instead of one compare per entry. Each bucket holds the key itself,
+ * so a probe never leaves the index, and erase shifts the chain back
+ * (no tombstones), so probe chains stay as short as the live keys
+ * make them however hard the table churns. The map never influences
+ * replacement decisions: victim selection stays a deterministic scan
+ * over slot order, reading the scores as contiguous arrays.
  *
  * The pre-hashing naive implementation is retained as RefCam
  * (tcam/reference.h) and serves as the executable specification in the
@@ -22,7 +26,6 @@
 #include <vector>
 
 #include "common/contract.h"
-#include "common/relaxed_counter.h"
 #include "common/types.h"
 
 namespace approxnoc {
@@ -47,14 +50,14 @@ class Cam
 {
   public:
     /** A Cam instance is embedded in exactly one shard's state (an
-     * encoder node's table or a decoder node's PMT), so its mutable
-     * match state inherits that shard's isolation; only the peek
-     * count may be probed concurrently across shards. */
+     * encoder node's table or a decoder node's PMT), so all of its
+     * mutable state, the peek count included, inherits that shard's
+     * isolation. Nothing probes a Cam concurrently. */
     ANOC_ISOLATION_CONTRACT(flow_isolation, destination_isolation);
 
     Cam(std::size_t n_entries, ReplacementPolicy policy = ReplacementPolicy::Lfu);
 
-    std::size_t capacity() const { return entries_.size(); }
+    std::size_t capacity() const { return keys_.size(); }
 
     /**
      * Search for @p key. Counts one search access; touches only the
@@ -82,9 +85,9 @@ class Cam
     /** Invalidate everything. */
     void clear();
 
-    bool valid(std::size_t slot) const { return entries_[slot].valid; }
-    Word key(std::size_t slot) const { return entries_[slot].key; }
-    std::uint64_t frequency(std::size_t slot) const { return entries_[slot].freq; }
+    bool valid(std::size_t slot) const { return valid_[slot] != 0; }
+    Word key(std::size_t slot) const { return keys_[slot]; }
+    std::uint64_t frequency(std::size_t slot) const { return freq_[slot]; }
 
     /** Bump the frequency counter of a slot (dictionary training). */
     void touch(std::size_t slot);
@@ -100,16 +103,14 @@ class Cam
     std::uint64_t writes() const { return writes_; }
 
   private:
-    struct Entry {
-        bool valid = false;
-        Word key = 0;
-        std::uint64_t last_use = 0;
-        std::uint64_t freq = 0;
-    };
-
     static constexpr std::int32_t kEmpty = -1;
-    static constexpr std::int32_t kTombstone = -2;
     static constexpr std::size_t kNoSlot = static_cast<std::size_t>(-1);
+
+    /** One index bucket: a live key and its slot, or slot == kEmpty. */
+    struct Bucket {
+        Word key = 0;
+        std::int32_t slot = kEmpty;
+    };
 
     /**
      * Victim when no invalid slot is free: the minimum-score entry
@@ -134,25 +135,27 @@ class Cam
     std::size_t findSlot(Word key) const;
     /** Add key -> slot to the index (key must not be present). */
     void indexInsert(Word key, std::size_t slot);
-    /** Drop key -> slot from the index (must be present). */
-    void indexErase(Word key, std::size_t slot);
-    /** Rebuild the index from the entry array (tombstone pressure). */
-    void rebuildIndex();
+    /** Drop @p key from the index (must be present), shifting the rest
+     * of its probe chain back so no bucket is left dead. */
+    void indexErase(Word key);
+    /** Reset @p slot to the empty state (invalid, key and scores 0). */
+    void resetSlot(std::size_t slot);
 
-    ANOC_SHARD_LOCAL std::vector<Entry> entries_;
-    /** Open-addressed buckets holding a slot index, kEmpty or
-     * kTombstone; sized to a power of two >= 2x capacity. */
-    ANOC_SHARD_LOCAL std::vector<std::int32_t> index_;
+    /** Per-slot state as parallel arrays (slot == array index). */
+    ANOC_SHARD_LOCAL std::vector<std::uint8_t> valid_;
+    ANOC_SHARD_LOCAL std::vector<Word> keys_;
+    ANOC_SHARD_LOCAL std::vector<std::uint64_t> freq_;
+    ANOC_SHARD_LOCAL std::vector<std::uint64_t> last_use_;
+    /** Open-addressed linear-probe buckets; sized to a power of two
+     * >= 2x capacity, so at most half of them are ever live. */
+    ANOC_SHARD_LOCAL std::vector<Bucket> index_;
     ANOC_SHARD_LOCAL std::size_t index_mask_;
-    ANOC_SHARD_LOCAL std::size_t tombstones_ = 0;
     ANOC_SHARD_LOCAL std::size_t valid_count_ = 0;
     ANOC_SHARD_LOCAL ReplacementPolicy policy_;
     ANOC_SHARD_LOCAL std::uint64_t tick_ = 0;
     ANOC_SHARD_LOCAL std::uint64_t searches_ = 0;
-    /** Relaxed-atomic: peek() is const and thread-safe, so concurrent
-     * read-only probes (diagnostics, parallel stats dumps) may race
-     * only on this count, never on match state. */
-    ANOC_CROSS_SHARD(RelaxedCounter) mutable RelaxedCounter peeks_;
+    /** Counted by the const probes, hence mutable. */
+    ANOC_SHARD_LOCAL mutable std::uint64_t peeks_ = 0;
     ANOC_SHARD_LOCAL std::uint64_t writes_ = 0;
 };
 

@@ -28,6 +28,7 @@
 #include <vector>
 
 #include "common/contract.h"
+#include "common/relaxed_counter.h"
 #include "common/types.h"
 
 #include "tcam/cam.h"

@@ -36,6 +36,14 @@ to_string(TrafficPattern p)
     return "?";
 }
 
+bool
+transpose_is_defined(unsigned n_nodes)
+{
+    unsigned side =
+        static_cast<unsigned>(std::lround(std::sqrt(double(n_nodes))));
+    return side * side == n_nodes;
+}
+
 NodeId
 pick_destination(TrafficPattern p, NodeId src, unsigned n_nodes, Rng &rng)
 {
@@ -45,10 +53,9 @@ pick_destination(TrafficPattern p, NodeId src, unsigned n_nodes, Rng &rng)
       case TrafficPattern::UniformRandom:
         break;
       case TrafficPattern::Transpose: {
-        // Arrange the node space as the tightest square grid.
-        unsigned side =
-            static_cast<unsigned>(std::lround(std::sqrt(double(n_nodes))));
-        if (side * side == n_nodes) {
+        if (transpose_is_defined(n_nodes)) {
+            unsigned side = static_cast<unsigned>(
+                std::lround(std::sqrt(double(n_nodes))));
             unsigned x = src % side, y = src / side;
             dst = x * side + y;
         }

@@ -1,5 +1,7 @@
 #include "traffic/synthetic.h"
 
+#include <atomic>
+
 #include "common/log.h"
 #include "noc/packet.h"
 
@@ -20,6 +22,14 @@ SyntheticTraffic::SyntheticTraffic(Network &net, const SyntheticConfig &cfg,
     packet_prob_ = cfg.injection_rate / avg_flits;
     ANOC_ASSERT(packet_prob_ <= 1.0,
                 "injection rate too high for Bernoulli generation");
+
+    unsigned n = net.config().nodes();
+    static std::atomic<bool> transpose_warned{false};
+    if (cfg.pattern == TrafficPattern::Transpose &&
+        !transpose_is_defined(n) && !transpose_warned.exchange(true))
+        ANOC_WARN("transpose traffic on ", n,
+                  " endpoints (not a square grid) falls back to uniform "
+                  "random destinations");
 }
 
 void

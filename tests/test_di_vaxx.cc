@@ -1,5 +1,8 @@
-/** DI-VAXX codec tests: TCAM approximate matching, exact-path storage. */
+/** DI-VAXX codec tests: TCAM approximate matching, exact-path storage,
+ * and the flat destination table against a per-slot std::map model. */
 #include <cmath>
+#include <map>
+
 #include <gtest/gtest.h>
 
 #include "approx/di_vaxx.h"
@@ -231,4 +234,189 @@ TEST(DiVaxx, FusedProbeCostsOneSearchPerWord)
     before = c.encoderSearches();
     c.encode(b, 0, 3, t);
     EXPECT_EQ(c.encoderSearches(), before + 4);
+}
+
+// ---------------------------------------------------------------------
+// VaxxEncoderTable against the per-slot std::map<NodeId, entry> layout
+// it replaced. The reference keeps that code verbatim (TCAM, per-slot
+// types and maps); after every operation the two must hold the same
+// TCAM contents and counters, types and per-destination mappings.
+
+namespace {
+
+struct RefVaxxTable {
+    struct DstEntry {
+        std::uint8_t index;
+        Word original;
+    };
+
+    Tcam tcam;
+    std::vector<DataType> types;
+    std::vector<std::map<NodeId, DstEntry>> dst_entries;
+
+    RefVaxxTable(std::size_t entries, ReplacementPolicy policy)
+        : tcam(entries, policy), types(entries, DataType::Raw),
+          dst_entries(entries)
+    {}
+
+    void
+    record(const TernaryPattern &tp, DataType type, NodeId decoder,
+           std::uint8_t index, Word original)
+    {
+        std::size_t slot = tcam.victimFor(tp);
+        bool evicting = tcam.valid(slot) && !(tcam.pattern(slot) == tp);
+        if (evicting)
+            dst_entries[slot].clear();
+        tcam.insert(tp);
+        types[slot] = type;
+        dst_entries[slot][decoder] = DstEntry{index, original};
+    }
+
+    void
+    invalidate(NodeId decoder, std::uint8_t index)
+    {
+        for (std::size_t s = 0; s < tcam.capacity(); ++s) {
+            auto it = dst_entries[s].find(decoder);
+            if (it != dst_entries[s].end() && it->second.index == index) {
+                dst_entries[s].erase(it);
+                if (dst_entries[s].empty())
+                    tcam.erase(s);
+            }
+        }
+    }
+};
+
+void
+expect_same_table(const VaxxEncoderTable &dut, const RefVaxxTable &ref,
+                  std::size_t n_nodes, int step)
+{
+    const Tcam &a = dut.tcam();
+    ASSERT_EQ(a.validCount(), ref.tcam.validCount()) << "step " << step;
+    ASSERT_EQ(a.writes(), ref.tcam.writes()) << "step " << step;
+    ASSERT_EQ(a.peeks(), ref.tcam.peeks()) << "step " << step;
+    for (std::size_t s = 0; s < a.capacity(); ++s) {
+        ASSERT_EQ(a.valid(s), ref.tcam.valid(s)) << "step " << step;
+        if (!a.valid(s))
+            continue;
+        ASSERT_TRUE(a.pattern(s) == ref.tcam.pattern(s)) << "step " << step;
+        ASSERT_EQ(dut.type(s), ref.types[s]) << "step " << step;
+        ASSERT_EQ(dut.mappedCount(s), ref.dst_entries[s].size())
+            << "step " << step << " slot " << s;
+        for (NodeId d = 0; d < n_nodes; ++d) {
+            const auto &m = dut.mapping(s, d);
+            auto it = ref.dst_entries[s].find(d);
+            ASSERT_EQ(m.valid, it != ref.dst_entries[s].end())
+                << "step " << step << " slot " << s << " dst " << d;
+            if (m.valid) {
+                ASSERT_EQ(m.index, it->second.index) << "step " << step;
+                ASSERT_EQ(m.original, it->second.original) << "step " << step;
+            }
+        }
+    }
+}
+
+TernaryPattern
+exact(Word w)
+{
+    return TernaryPattern{w, 0};
+}
+
+} // namespace
+
+TEST(VaxxEncoderTable, LastInvalidationFreesTheTcamSlot)
+{
+    VaxxEncoderTable dut(4, 4, ReplacementPolicy::Lfu);
+    RefVaxxTable ref(4, ReplacementPolicy::Lfu);
+    int step = 0;
+    auto both_record = [&](Word w, NodeId dec, std::uint8_t idx) {
+        dut.record(exact(w), DataType::Int32, dec, idx, w);
+        ref.record(exact(w), DataType::Int32, dec, idx, w);
+        expect_same_table(dut, ref, 4, step++);
+    };
+    auto both_invalidate = [&](NodeId dec, std::uint8_t idx) {
+        dut.invalidate(dec, idx);
+        ref.invalidate(dec, idx);
+        expect_same_table(dut, ref, 4, step++);
+    };
+    both_record(100, 1, 3);
+    both_record(100, 2, 5);
+    ASSERT_EQ(dut.tcam().validCount(), 1u);
+    both_invalidate(1, 3);
+    EXPECT_EQ(dut.tcam().validCount(), 1u) << "decoder 2 still maps it";
+    both_invalidate(2, 4); // wrong index: no-op
+    EXPECT_EQ(dut.mappedCount(0), 1u);
+    both_invalidate(2, 5);
+    EXPECT_EQ(dut.tcam().validCount(), 0u) << "last mapping frees the slot";
+    EXPECT_EQ(dut.mappedCount(0), 0u);
+}
+
+TEST(VaxxEncoderTable, EvictionDropsEveryDestinationsMapping)
+{
+    VaxxEncoderTable dut(2, 4, ReplacementPolicy::Lfu);
+    RefVaxxTable ref(2, ReplacementPolicy::Lfu);
+    int step = 0;
+    for (NodeId d = 0; d < 4; ++d) {
+        dut.record(exact(7), DataType::Int32, d, 1, 7);
+        ref.record(exact(7), DataType::Int32, d, 1, 7);
+        expect_same_table(dut, ref, 4, step++);
+    }
+    dut.record(exact(9), DataType::Float32, 0, 2, 9);
+    ref.record(exact(9), DataType::Float32, 0, 2, 9);
+    expect_same_table(dut, ref, 4, step++);
+    // Slot 1 (pattern 9, one hit) is the LFU victim for pattern 11.
+    dut.record(exact(11), DataType::Int32, 3, 4, 11);
+    ref.record(exact(11), DataType::Int32, 3, 4, 11);
+    expect_same_table(dut, ref, 4, step++);
+    EXPECT_EQ(dut.mappedCount(1), 1u);
+    EXPECT_FALSE(dut.mapping(1, 0).valid) << "evicted pattern's mapping";
+    EXPECT_TRUE(dut.mapping(1, 3).valid);
+}
+
+TEST(VaxxEncoderTable, ReinsertOfTheSamePatternKeepsItsMappings)
+{
+    VaxxEncoderTable dut(2, 4, ReplacementPolicy::Lru);
+    RefVaxxTable ref(2, ReplacementPolicy::Lru);
+    // Two originals under one approximate pattern: the second record
+    // rehits the entry and must keep decoder 0's mapping.
+    TernaryPattern tp{0x100, 0xF};
+    dut.record(tp, DataType::Int32, 0, 1, 0x101);
+    ref.record(tp, DataType::Int32, 0, 1, 0x101);
+    dut.record(tp, DataType::Int32, 2, 6, 0x10E);
+    ref.record(tp, DataType::Int32, 2, 6, 0x10E);
+    expect_same_table(dut, ref, 4, 0);
+    EXPECT_EQ(dut.mappedCount(0), 2u);
+    EXPECT_EQ(dut.mapping(0, 0).original, 0x101u);
+    // A re-record for an already-mapped destination overwrites in place.
+    dut.record(tp, DataType::Int32, 0, 3, 0x10F);
+    ref.record(tp, DataType::Int32, 0, 3, 0x10F);
+    expect_same_table(dut, ref, 4, 1);
+    EXPECT_EQ(dut.mappedCount(0), 2u);
+    EXPECT_EQ(dut.mapping(0, 0).index, 3u);
+}
+
+TEST(VaxxEncoderTable, MatchesMapLayoutOnRandomChurn)
+{
+    constexpr std::size_t kNodes = 6;
+    for (ReplacementPolicy pol :
+         {ReplacementPolicy::Lfu, ReplacementPolicy::Lru}) {
+        VaxxEncoderTable dut(4, kNodes, pol);
+        RefVaxxTable ref(4, pol);
+        Rng rng(pol == ReplacementPolicy::Lfu ? 11 : 12);
+        for (int step = 0; step < 20000; ++step) {
+            NodeId dec = static_cast<NodeId>(rng.next(kNodes));
+            auto idx = static_cast<std::uint8_t>(rng.next(4));
+            if (rng.chance(0.4)) {
+                dut.invalidate(dec, idx);
+                ref.invalidate(dec, idx);
+            } else {
+                Word w = static_cast<Word>(rng.next(24));
+                TernaryPattern tp{w, rng.chance(0.5) ? 0x3u : 0x0u};
+                DataType t =
+                    rng.chance(0.5) ? DataType::Int32 : DataType::Float32;
+                dut.record(tp, t, dec, idx, w);
+                ref.record(tp, t, dec, idx, w);
+            }
+            ASSERT_NO_FATAL_FAILURE(expect_same_table(dut, ref, kNodes, step));
+        }
+    }
 }

@@ -1,4 +1,8 @@
-/** DI-COMP dictionary codec tests: learning, consistency, eviction. */
+/** DI-COMP dictionary codec tests: learning, consistency, eviction,
+ * and the update list against the per-decoder channel merge. */
+#include <deque>
+#include <vector>
+
 #include <gtest/gtest.h>
 
 #include "common/rng.h"
@@ -261,4 +265,172 @@ TEST(DiComp, ZeroWordsCompressWithoutTraining)
     DataBlock out = c.decode(enc, 0, 1, 0);
     EXPECT_TRUE(out.sameBits(b));
     EXPECT_EQ(c.consistencyMismatches(), 0u);
+}
+
+// ---------------------------------------------------------------------
+// PendingUpdates against the per-(encoder, decoder) channel merge it
+// replaced: one FIFO per decoder, and a loop that repeatedly takes the
+// due channel head with the smallest (apply cycle, decoder id). The
+// reference below is that merge for one encoder, kept verbatim; the
+// list must hand out exactly the same sequence for any schedule.
+
+namespace {
+
+struct ChannelMergeRef {
+    std::vector<std::deque<DictionaryUpdate>> chans;
+
+    explicit ChannelMergeRef(std::size_t n_decoders) : chans(n_decoders) {}
+
+    void push(const DictionaryUpdate &u) { chans[u.decoder].push_back(u); }
+
+    std::size_t
+    size() const
+    {
+        std::size_t n = 0;
+        for (const auto &c : chans)
+            n += c.size();
+        return n;
+    }
+
+    std::vector<DictionaryUpdate>
+    takeDue(Cycle now)
+    {
+        std::vector<DictionaryUpdate> out;
+        for (;;) {
+            std::size_t best = chans.size();
+            for (std::size_t d = 0; d < chans.size(); ++d) {
+                if (chans[d].empty() || chans[d].front().apply > now)
+                    continue;
+                if (best == chans.size() ||
+                    chans[d].front().apply < chans[best].front().apply)
+                    best = d;
+            }
+            if (best == chans.size())
+                break;
+            out.push_back(chans[best].front());
+            chans[best].pop_front();
+        }
+        return out;
+    }
+};
+
+bool
+same_update(const DictionaryUpdate &a, const DictionaryUpdate &b)
+{
+    return a.apply == b.apply && a.invalidate == b.invalidate &&
+           a.pattern == b.pattern && a.type == b.type && a.index == b.index &&
+           a.decoder == b.decoder;
+}
+
+} // namespace
+
+TEST(PendingUpdates, HeldHeadReleasesItsEarlierSuccessorsFirst)
+{
+    // Decoder 0 sent apply 10 then apply 5 (its clock went backwards);
+    // decoder 1 sent apply 7. At cycle 10 the merge takes 1@7 (0's
+    // head, 10, is larger), then 0@10, then 0@5 behind it.
+    PendingUpdates p;
+    p.push(DictionaryUpdate{10, false, 0xA, DataType::Int32, 1, 0});
+    p.push(DictionaryUpdate{5, false, 0xB, DataType::Int32, 2, 0});
+    p.push(DictionaryUpdate{7, true, 0xC, DataType::Int32, 3, 1});
+    EXPECT_EQ(p.nextDue(), 5u);
+    // At 6 decoder 0 is held by its head (10), so 0@5 must wait.
+    EXPECT_TRUE(p.takeDue(6).empty());
+    EXPECT_EQ(p.size(), 3u);
+    std::vector<DictionaryUpdate> got = p.takeDue(10);
+    ASSERT_EQ(got.size(), 3u);
+    EXPECT_EQ(got[0].pattern, 0xCu);
+    EXPECT_EQ(got[1].pattern, 0xAu);
+    EXPECT_EQ(got[2].pattern, 0xBu);
+    EXPECT_TRUE(p.empty());
+    EXPECT_EQ(p.nextDue(), PendingUpdates::kNever);
+}
+
+TEST(PendingUpdates, MatchesPerDecoderChannelMergeOnRandomSchedules)
+{
+    constexpr std::size_t kDecoders = 6;
+    constexpr Cycle kDelay = 10;
+    // Coverage of the cases the merge order has to get right.
+    std::size_t multi_decoder_cycles = 0; // >1 decoder due at one apply
+    std::size_t inval_then_update = 0;    // same decoder, same cycle
+    std::size_t rewinds = 0;              // a call with a smaller now
+    std::size_t held_but_due = 0;         // due update left behind
+
+    for (std::uint64_t seed = 1; seed <= 24; ++seed) {
+        Rng rng(seed * 0x9E37ull);
+        PendingUpdates dut;
+        ChannelMergeRef ref(kDecoders);
+        Cycle now = 1000;
+        Cycle last_query = 0;
+
+        for (int step = 0; step < 1500; ++step) {
+            // Mostly advancing time, with occasional rewinds so channel
+            // apply cycles stop being monotone.
+            if (rng.chance(0.08))
+                now -= static_cast<Cycle>(rng.next(25));
+            else
+                now += static_cast<Cycle>(rng.next(4));
+
+            unsigned sends = static_cast<unsigned>(rng.next(4));
+            for (unsigned k = 0; k < sends; ++k) {
+                Cycle delay = rng.chance(0.8)
+                                  ? kDelay
+                                  : 1 + static_cast<Cycle>(rng.next(25));
+                DictionaryUpdate u{
+                    now + delay, rng.chance(0.3),
+                    static_cast<Word>(rng.bits()),
+                    rng.chance(0.5) ? DataType::Int32 : DataType::Float32,
+                    static_cast<std::uint8_t>(rng.next(8)),
+                    static_cast<NodeId>(rng.next(kDecoders))};
+                if (rng.chance(0.2)) {
+                    // An eviction: the invalidation of the victim and
+                    // the update reusing its index leave one decoder in
+                    // the same cycle, in that order.
+                    DictionaryUpdate inval = u;
+                    inval.invalidate = true;
+                    u.invalidate = false;
+                    u.pattern ^= 0x5A5Au;
+                    dut.push(inval);
+                    ref.push(inval);
+                }
+                dut.push(u);
+                ref.push(u);
+            }
+
+            if (!rng.chance(0.5))
+                continue;
+            Cycle query = now + static_cast<Cycle>(rng.next(30)) - 12;
+            if (query < last_query)
+                ++rewinds;
+            last_query = query;
+
+            std::vector<DictionaryUpdate> want = ref.takeDue(query);
+            const std::vector<DictionaryUpdate> &got = dut.takeDue(query);
+            ASSERT_EQ(got.size(), want.size())
+                << "seed " << seed << " step " << step;
+            for (std::size_t i = 0; i < want.size(); ++i)
+                ASSERT_TRUE(same_update(got[i], want[i]))
+                    << "seed " << seed << " step " << step << " pos " << i;
+            ASSERT_EQ(dut.size(), ref.size());
+
+            // nextDue() bounds every queued apply cycle from below.
+            for (const auto &c : ref.chans)
+                for (const auto &u : c) {
+                    ASSERT_LE(dut.nextDue(), u.apply);
+                    held_but_due += u.apply <= query;
+                }
+            for (std::size_t i = 0; i + 1 < want.size(); ++i) {
+                multi_decoder_cycles += want[i].apply == want[i + 1].apply &&
+                                        want[i].decoder != want[i + 1].decoder;
+                inval_then_update += want[i].decoder == want[i + 1].decoder &&
+                                     want[i].apply == want[i + 1].apply &&
+                                     want[i].invalidate &&
+                                     !want[i + 1].invalidate;
+            }
+        }
+    }
+    EXPECT_GT(multi_decoder_cycles, 0u);
+    EXPECT_GT(inval_then_update, 0u);
+    EXPECT_GT(rewinds, 0u);
+    EXPECT_GT(held_but_due, 0u);
 }

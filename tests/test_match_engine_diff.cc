@@ -4,8 +4,9 @@
  *
  *  - the bit-sliced Tcam against the naive RefTcam, and the
  *    hash-indexed Cam against RefCam (tcam/reference.h), driven through
- *    long random insert/erase/search/touch sequences and asserting
- *    identical hit slots, victim choices and activity counters;
+ *    long random insert/erase/search/touch sequences and a decoder
+ *    tracker churn run, asserting identical hit slots, victim choices
+ *    and activity counters;
  *  - CodecSystem::encodeBlock against word-at-a-time encode() for every
  *    scheme CodecFactory builds, asserting bit-identical NR streams.
  *
@@ -196,6 +197,50 @@ TEST_P(MatchEngineDiff, CamMatchesReference)
             ASSERT_EQ(dut.key(s), ref.key(s)) << "slot " << s;
             ASSERT_EQ(dut.frequency(s), ref.frequency(s)) << "slot " << s;
         }
+    }
+}
+
+// The decoder candidate tracker's pattern: a 64-entry LFU Cam that sees
+// an insert for every raw word, mostly fresh keys (each one evicting the
+// least-frequent entry), a few hot keys that rehit, and an erase when a
+// candidate is promoted. Hundreds of thousands of index erases through
+// one small table, the churn that used to build tombstone chains.
+TEST(CamChurn, DecoderTrackerMatchesReference)
+{
+    constexpr std::size_t kCapacity = 64;
+    Cam dut(kCapacity, ReplacementPolicy::Lfu);
+    RefCam ref(kCapacity, ReplacementPolicy::Lfu);
+    Rng rng(0x7EAC4ull);
+    std::vector<Word> hot(12);
+    for (auto &h : hot)
+        h = static_cast<Word>(rng.bits());
+
+    for (int step = 0; step < 300000; ++step) {
+        double roll = rng.uniform();
+        Word key = roll < 0.25 ? hot[rng.next(hot.size())]
+                               : static_cast<Word>(rng.bits());
+        // The decoder peeks its PMT before touching the tracker.
+        ASSERT_EQ(dut.peek(key), ref.peek(key)) << "step " << step;
+        if (roll < 0.9) {
+            ASSERT_EQ(dut.victimFor(key), ref.victimFor(key))
+                << "step " << step;
+            std::size_t slot = dut.insert(key);
+            ASSERT_EQ(slot, ref.insert(key)) << "step " << step;
+            ASSERT_EQ(dut.frequency(slot), ref.frequency(slot))
+                << "step " << step;
+            if (dut.frequency(slot) >= 3) { // promoted: leaves the tracker
+                dut.erase(slot);
+                ref.erase(slot);
+            }
+        } else {
+            ASSERT_EQ(dut.search(key), ref.search(key)) << "step " << step;
+        }
+        ASSERT_NO_FATAL_FAILURE(expect_same_counters(dut, ref, "churn", step));
+    }
+    for (std::size_t s = 0; s < kCapacity; ++s) {
+        ASSERT_EQ(dut.valid(s), ref.valid(s)) << "slot " << s;
+        ASSERT_EQ(dut.key(s), ref.key(s)) << "slot " << s;
+        ASSERT_EQ(dut.frequency(s), ref.frequency(s)) << "slot " << s;
     }
 }
 

@@ -41,6 +41,26 @@ TEST(Patterns, TransposeOnSquareGrid)
     EXPECT_EQ(pick_destination(TrafficPattern::Transpose, 7, 16, rng), 13u);
 }
 
+TEST(Patterns, TransposeFallsBackOnNonSquareEndpoints)
+{
+    // The 4x4 and 8x8 cmeshes have 32 and 128 endpoints, neither a
+    // square, so Transpose is the uniform draw: the same destination
+    // from the same random stream, for every source.
+    for (unsigned n : {32u, 128u}) {
+        EXPECT_FALSE(transpose_is_defined(n)) << n;
+        Rng tr(97), ur(97);
+        for (int round = 0; round < 4; ++round)
+            for (NodeId src = 0; src < n; ++src)
+                ASSERT_EQ(
+                    pick_destination(TrafficPattern::Transpose, src, n, tr),
+                    pick_destination(TrafficPattern::UniformRandom, src, n,
+                                     ur))
+                    << n << " endpoints, src " << src;
+    }
+    EXPECT_TRUE(transpose_is_defined(16));
+    EXPECT_TRUE(transpose_is_defined(64));
+}
+
 TEST(Patterns, NeighborWraps)
 {
     Rng rng(95);
